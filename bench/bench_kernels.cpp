@@ -4,6 +4,8 @@
 // uses the paper's platform instead.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "chol/reference_chol.hpp"
 #include "common/rng.hpp"
 #include "kernels/tile_kernels.hpp"
@@ -165,6 +167,33 @@ void BM_ttmqr(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
+// Left trmm B := op(A) B with a k-by-k triangle on a k-by-n B, the shape of
+// W := op(T) W in tsmqr/ttmqr/tsqrt/ttqrt and of the V1 products in
+// larfb. range(2) picks the variant the kernels use: 0/1 = upper NonUnit
+// (T) NoTrans/Trans, 2/3 = lower Unit (V1) NoTrans/Trans. Each iteration
+// first restores B from a pristine copy (a k*n copy, timed) so repeated
+// products never drift toward overflow or denormals.
+void BM_trmm(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const int variant = static_cast<int>(state.range(2));
+  const blas::Uplo uplo = variant < 2 ? blas::Uplo::Upper : blas::Uplo::Lower;
+  const blas::Diag diag = variant < 2 ? blas::Diag::NonUnit : blas::Diag::Unit;
+  const blas::Trans trans = variant % 2 ? blas::Trans::Yes : blas::Trans::No;
+  Matrix a = random_matrix(k, k, 33);
+  Matrix b0 = random_matrix(k, n, 34);
+  Matrix b(k, n);
+  for (auto _ : state) {
+    blas::lacpy_all(b0.view(), b.view());
+    blas::trmm(blas::Side::Left, uplo, trans, diag, 1.0, a.view(), b.view());
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["Gflop/s"] = benchmark::Counter(
+      1.0 * k * k * n * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
 // ---- Single-precision rows (templated kernel path) ------------------------
 
 MatrixF random_matrix_f(int m, int n, std::uint64_t seed) {
@@ -316,6 +345,13 @@ BENCHMARK(BM_tsmqr)->Args({64, 16})->Args({128, 32})->Args({192, 48})
     ->Args({240, 48})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ttmqr)->Args({64, 16})->Args({128, 32})->Args({192, 48})
     ->Args({240, 48})->Unit(benchmark::kMillisecond);
+// trmm at the ib-by-nb shapes of the block-reflector applications.
+static void TrmmArgs(benchmark::internal::Benchmark* b) {
+  for (const auto& [k, n] : {std::pair{16, 64}, {32, 128}, {48, 192}}) {
+    for (int variant : {0, 1, 2, 3}) b->Args({k, n, variant});
+  }
+}
+BENCHMARK(BM_trmm)->Apply(TrmmArgs)->Unit(benchmark::kMicrosecond);
 // Single-precision path: packed float gemm and the float stacked kernels
 // (double-width SIMD lanes; compare against the f64 rows above).
 BENCHMARK(BM_gemm_f32)->Arg(128)->Arg(192)->Unit(benchmark::kMillisecond);

@@ -1,7 +1,9 @@
 #include "blas/blas.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 #include "blas/simd.hpp"
@@ -495,15 +497,123 @@ void gemm(Trans ta, Trans tb, float alpha, ConstMatrixViewF a,
 
 namespace {
 
+// Left-side trmm recursion: diagonal blocks of at most kTrmmBase rows go to
+// the base case, which works on kTrmmChunk columns of B at a time.
+constexpr int kTrmmBase = 16;
+constexpr int kTrmmChunk = 64;
+
+// Copies a k-by-nc block of column-major B to or from the row-major panel
+// (row stride nc), four columns per pass so each panel row takes four
+// adjacent elements at a time.
+template <bool kToPanel, class T>
+void trmm_panel_copy(int k, int nc, T* b, int ldb, T* panel) {
+  auto move = [](T& b_elem, T& panel_elem) {
+    if constexpr (kToPanel) {
+      panel_elem = b_elem;
+    } else {
+      b_elem = panel_elem;
+    }
+  };
+  int j = 0;
+  for (; j + 4 <= nc; j += 4) {
+    T* c0 = b + static_cast<std::ptrdiff_t>(j) * ldb;
+    T* c1 = c0 + ldb;
+    T* c2 = c1 + ldb;
+    T* c3 = c2 + ldb;
+    for (int i = 0; i < k; ++i) {
+      T* p = panel + i * nc + j;
+      move(c0[i], p[0]);
+      move(c1[i], p[1]);
+      move(c2[i], p[2]);
+      move(c3[i], p[3]);
+    }
+  }
+  for (; j < nc; ++j) {
+    T* c = b + static_cast<std::ptrdiff_t>(j) * ldb;
+    for (int i = 0; i < k; ++i) move(c[i], panel[i * nc + j]);
+  }
+}
+
+// Base case of the left trmm, B := alpha * op(A) * B for k <= kTrmmBase.
+// B's columns are short (k) but its rows are long (n), so a column chunk is
+// copied into a stack panel whose row i is contiguous; then each row is one
+// fused axpy_cols sweep over the rows it depends on, with vectors of chunk
+// length. Rows are rewritten in the order that leaves their inputs
+// untouched: ascending when op(A) is upper (row i reads rows p > i),
+// descending when it is lower. Only the triangle of A is read, and the
+// diagonal only for Diag::NonUnit.
+template <class T>
+void trmm_left_base(Uplo uplo, Trans trans, Diag diag, T alpha,
+                    ConstMatrixViewT<T> a, MatrixViewT<T> b) {
+  const simd::KernelTable<T>& kt = simd::kernels<T>();
+  const int k = b.rows;
+  const bool upper_op = (uplo == Uplo::Upper) == (trans == Trans::No);
+  // op(A)(i, p0:) as a strided coefficient vector.
+  const int inc = trans == Trans::No ? a.ld : 1;
+  auto op_row = [&](int i, int p0) {
+    return trans == Trans::No ? &a(i, p0) : &a(p0, i);
+  };
+  alignas(64) T panel[kTrmmBase * kTrmmChunk];
+  for (int j0 = 0; j0 < b.cols; j0 += kTrmmChunk) {
+    const int nc = std::min(kTrmmChunk, b.cols - j0);
+    trmm_panel_copy<true>(k, nc, b.col(j0), b.ld, panel);
+    for (int s = 0; s < k; ++s) {
+      const int i = upper_op ? s : k - 1 - s;
+      T* row = panel + i * nc;
+      const T d = diag == Diag::Unit ? alpha : alpha * a(i, i);
+      if (d != T(1)) scal(nc, d, row);
+      if (upper_op && i + 1 < k) {
+        kt.axpy_cols(nc, alpha, op_row(i, i + 1), inc, row + nc, nc,
+                     k - i - 1, row);
+      } else if (!upper_op && i > 0) {
+        kt.axpy_cols(nc, alpha, op_row(i, 0), inc, panel, nc, i, row);
+      }
+    }
+    trmm_panel_copy<false>(k, nc, b.col(j0), b.ld, panel);
+  }
+}
+
+// B := alpha * op(A) * B, recursively: split op(A) in half, do the
+// off-diagonal block as one gemm and recurse on the two diagonal blocks.
+// With op(A) upper, B1 := op(A11) B1 + op(A)12 B2 must read B2 before
+// B2 := op(A22) B2 overwrites it; with op(A) lower the mirror order holds.
+// The off-diagonal block lies in A's stored triangle for every
+// (uplo, trans): A(0:k1, k1:k) when upper, A(k1:k, 0:k1) when lower.
+template <class T>
+void trmm_left(Uplo uplo, Trans trans, Diag diag, T alpha,
+               ConstMatrixViewT<T> a, MatrixViewT<T> b) {
+  const int k = b.rows;
+  const int n = b.cols;
+  if (k == 0 || n == 0) return;
+  if (k <= kTrmmBase) {
+    trmm_left_base(uplo, trans, diag, alpha, a, b);
+    return;
+  }
+  const int k1 = k / 2;
+  const int k2 = k - k1;
+  ConstMatrixViewT<T> a11 = a.block(0, 0, k1, k1);
+  ConstMatrixViewT<T> a22 = a.block(k1, k1, k2, k2);
+  ConstMatrixViewT<T> off =
+      uplo == Uplo::Upper ? a.block(0, k1, k1, k2) : a.block(k1, 0, k2, k1);
+  MatrixViewT<T> b1 = b.block(0, 0, k1, n);
+  MatrixViewT<T> b2 = b.block(k1, 0, k2, n);
+  if ((uplo == Uplo::Upper) == (trans == Trans::No)) {
+    trmm_left(uplo, trans, diag, alpha, a11, b1);
+    gemm_t(trans, Trans::No, alpha, off, ConstMatrixViewT<T>(b2), T(1), b1);
+    trmm_left(uplo, trans, diag, alpha, a22, b2);
+  } else {
+    trmm_left(uplo, trans, diag, alpha, a22, b2);
+    gemm_t(trans, Trans::No, alpha, off, ConstMatrixViewT<T>(b1), T(1), b2);
+    trmm_left(uplo, trans, diag, alpha, a11, b1);
+  }
+}
+
 template <class T>
 void trmm_t(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
             ConstMatrixViewT<T> a, MatrixViewT<T> b) {
   if (side == Side::Left) {
     PQR_ASSERT(a.rows == b.rows && a.cols == b.rows, "trmm: shape mismatch");
-    for (int j = 0; j < b.cols; ++j) {
-      trmv(uplo, trans, diag, a, b.col(j));
-      if (alpha != T(1)) scal(b.rows, alpha, b.col(j));
-    }
+    trmm_left(uplo, trans, diag, alpha, a, b);
   } else {
     PQR_ASSERT(a.rows == b.cols && a.cols == b.cols, "trmm: shape mismatch");
     // B := alpha * B * op(A). Work row-wise via column combinations:

@@ -96,7 +96,10 @@ long long gemm_small_max_work_f64();
 long long gemm_small_max_work_f32();
 
 /// B := alpha * op(A) * B (Side::Left) or alpha * B * op(A) (Side::Right),
-/// A triangular.
+/// A triangular. Only A's stored triangle is read (its diagonal only for
+/// Diag::NonUnit). The left side is Level 3: op(A) is halved recursively,
+/// each off-diagonal block is one gemm(), and diagonal blocks of at most
+/// 16 rows finish as fused SIMD row sweeps.
 void trmm(Side side, Uplo uplo, Trans trans, Diag diag, double alpha,
           ConstMatrixView a, MatrixView b);
 

@@ -1,11 +1,15 @@
 // Unit tests for the from-scratch BLAS subset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "blas/blas.hpp"
+#include "blas/simd.hpp"
 #include "common/rng.hpp"
+#include "isa_guard.hpp"
 
 namespace pulsarqr {
 namespace {
@@ -204,6 +208,209 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Uplo::Upper, Uplo::Lower),
                        ::testing::Values(Trans::No, Trans::Yes),
                        ::testing::Values(Diag::NonUnit, Diag::Unit)));
+
+// ---- Left trmm: shapes that reach the recursion, on every ISA -------------
+
+using blas::simd::Isa;
+
+// A k-by-k triangle and a k-by-n B, both stored with ld > rows. Every
+// entry of A's storage outside the operand (the other triangle, the
+// diagonal when Diag::Unit, the padding rows) is NaN, so reading any of
+// them shows up in the result. B's padding rows hold a sentinel that
+// trmm must leave alone.
+template <class T>
+struct TrmmOperands {
+  static constexpr T kSentinel = T(12345);
+  int k, n, lda, ldb;
+  std::vector<T> a, b;
+
+  TrmmOperands(Uplo uplo, Diag diag, int k_, int n_, std::uint64_t seed)
+      : k(k_), n(n_), lda(k_ + 3), ldb(k_ + 2) {
+    Rng rng(seed);
+    a.assign(static_cast<std::size_t>(lda) * std::max(k, 1),
+             std::numeric_limits<T>::quiet_NaN());
+    for (int j = 0; j < k; ++j) {
+      for (int i = 0; i < k; ++i) {
+        const bool in_tri = uplo == Uplo::Upper ? i <= j : i >= j;
+        if (in_tri && !(diag == Diag::Unit && i == j)) {
+          a[i + static_cast<std::size_t>(j) * lda] =
+              static_cast<T>(rng.next_symmetric());
+        }
+      }
+    }
+    b.assign(static_cast<std::size_t>(ldb) * n, kSentinel);
+    for (int j = 0; j < n; ++j) {
+      for (int i = 0; i < k; ++i) {
+        b[i + static_cast<std::size_t>(j) * ldb] =
+            static_cast<T>(rng.next_symmetric());
+      }
+    }
+  }
+
+  T& at_a(int i, int j) { return a[i + static_cast<std::size_t>(j) * lda]; }
+  T& at_b(int i, int j) { return b[i + static_cast<std::size_t>(j) * ldb]; }
+  ConstMatrixViewT<T> a_view() const {
+    return ConstMatrixViewT<T>(a.data(), k, k, lda);
+  }
+  MatrixViewT<T> b_view() { return MatrixViewT<T>(b.data(), k, n, ldb); }
+};
+
+// Per-column oracle for B := alpha * op(A) * B, in double: out(i, j) sums
+// op(A)(i, p) * B(p, j) over op(A)'s triangle only, with no skipped terms,
+// and abs_out the same sum of magnitudes (for the rounding bound).
+template <class T>
+void trmm_oracle(Uplo uplo, Trans trans, Diag diag, double alpha,
+                 TrmmOperands<T>& x, Matrix& out, Matrix& abs_out) {
+  const bool upper_op = (uplo == Uplo::Upper) == (trans == Trans::No);
+  out = Matrix(x.k, x.n);
+  abs_out = Matrix(x.k, x.n);
+  for (int j = 0; j < x.n; ++j) {
+    for (int i = 0; i < x.k; ++i) {
+      double s = 0.0;
+      double sa = 0.0;
+      const int lo = upper_op ? i : 0;
+      const int hi = upper_op ? x.k - 1 : i;
+      for (int p = lo; p <= hi; ++p) {
+        const double opa =
+            p == i && diag == Diag::Unit
+                ? 1.0
+                : static_cast<double>(trans == Trans::No ? x.at_a(i, p)
+                                                         : x.at_a(p, i));
+        const double bv = static_cast<double>(x.at_b(p, j));
+        s += opa * bv;
+        sa += std::fabs(opa * bv);
+      }
+      out(i, j) = alpha * s;
+      abs_out(i, j) = std::fabs(alpha) * sa;
+    }
+  }
+}
+
+// Runs one left trmm against the oracle. Finite oracle entries must agree
+// within the rounding bound of a k-term sum; the set of non-finite entries
+// must be the same; B's padding rows must be untouched.
+template <class T>
+void expect_left_trmm_matches(Uplo uplo, Trans trans, Diag diag, T alpha,
+                              TrmmOperands<T>& x) {
+  Matrix expect;
+  Matrix bound;
+  trmm_oracle(uplo, trans, diag, static_cast<double>(alpha), x, expect, bound);
+  blas::trmm(Side::Left, uplo, trans, diag, alpha, x.a_view(), x.b_view());
+  const double eps = std::numeric_limits<T>::epsilon();
+  int bad = 0;
+  for (int j = 0; j < x.n && bad < 5; ++j) {
+    for (int i = 0; i < x.ldb && bad < 5; ++i) {
+      const double got = static_cast<double>(x.at_b(i, j));
+      if (i >= x.k) {
+        if (got != static_cast<double>(TrmmOperands<T>::kSentinel)) {
+          ADD_FAILURE() << "padding row " << i << " of column " << j
+                        << " was written";
+          ++bad;
+        }
+        continue;
+      }
+      const double want = expect(i, j);
+      if (std::isfinite(want) != std::isfinite(got)) {
+        ADD_FAILURE() << "B(" << i << "," << j << ") = " << got
+                      << ", oracle " << want;
+        ++bad;
+      } else if (std::isfinite(want) &&
+                 std::fabs(got - want) >
+                     4.0 * (x.k + 2) * eps * bound(i, j) + 1e-300) {
+        ADD_FAILURE() << "B(" << i << "," << j << ") = " << got
+                      << ", oracle " << want << ", bound " << bound(i, j);
+        ++bad;
+      }
+    }
+  }
+}
+
+template <class T>
+void left_trmm_sweep() {
+  IsaGuard guard;
+  for (Isa isa : supported_isas()) {
+    ASSERT_TRUE(blas::simd::set_isa(isa));
+    for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
+      for (Trans trans : {Trans::No, Trans::Yes}) {
+        for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+          for (int k : {0, 1, 7, 8, 9, 16, 31, 32, 33, 48, 64, 128}) {
+            for (int n : {1, 5, 128}) {
+              for (T alpha : {T(1), T(-0.7)}) {
+                SCOPED_TRACE(::testing::Message()
+                             << blas::simd::isa_name(isa) << " uplo="
+                             << (uplo == Uplo::Upper ? "U" : "L")
+                             << " trans=" << (trans == Trans::No ? "N" : "T")
+                             << " diag=" << (diag == Diag::Unit ? "U" : "N")
+                             << " k=" << k << " n=" << n
+                             << " alpha=" << alpha);
+                TrmmOperands<T> x(uplo, diag, k, n, 1000 + 7 * k + n);
+                expect_left_trmm_matches(uplo, trans, diag, alpha, x);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TrmmLeft, RecursionSweepEveryIsaF64) { left_trmm_sweep<double>(); }
+
+TEST(TrmmLeft, RecursionSweepEveryIsaF32) { left_trmm_sweep<float>(); }
+
+// Hostile inputs: Inf, -Inf and NaN in B, and exact zeros inside A's
+// triangle (diagonal included), so 0 * Inf must come out as NaN exactly
+// where the per-column oracle forms that product and nowhere else — in
+// particular, no gemm may multiply padded zeros into real entries.
+template <class T>
+void left_trmm_hostile() {
+  IsaGuard guard;
+  const T inf = std::numeric_limits<T>::infinity();
+  for (Isa isa : supported_isas()) {
+    ASSERT_TRUE(blas::simd::set_isa(isa));
+    for (Uplo uplo : {Uplo::Upper, Uplo::Lower}) {
+      for (Trans trans : {Trans::No, Trans::Yes}) {
+        for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+          for (int k : {1, 9, 17, 33, 64, 128}) {
+            for (int n : {5, 128}) {
+              SCOPED_TRACE(::testing::Message()
+                           << blas::simd::isa_name(isa) << " uplo="
+                           << (uplo == Uplo::Upper ? "U" : "L")
+                           << " trans=" << (trans == Trans::No ? "N" : "T")
+                           << " diag=" << (diag == Diag::Unit ? "U" : "N")
+                           << " k=" << k << " n=" << n);
+              const std::uint64_t seed = 5000 + 7 * k + n;
+              TrmmOperands<T> x(uplo, diag, k, n, seed);
+              Rng rng(seed + 1);
+              auto pick = [&](int m) {
+                return static_cast<int>(rng.next_u64() %
+                                        static_cast<std::uint64_t>(m));
+              };
+              x.at_b(pick(k), pick(n)) = inf;
+              x.at_b(pick(k), pick(n)) = -inf;
+              x.at_b(pick(k), pick(n)) = std::numeric_limits<T>::quiet_NaN();
+              x.at_b(k - 1, pick(n)) = inf;  // last row feeds every upper row
+              x.at_b(0, pick(n)) = -inf;     // first row feeds every lower row
+              for (int z = 0; z < 3; ++z) {
+                const int i = pick(k);
+                const int p = pick(k);
+                const bool up = uplo == Uplo::Upper;
+                const int r = up ? std::min(i, p) : std::max(i, p);
+                const int c = up ? std::max(i, p) : std::min(i, p);
+                if (!(diag == Diag::Unit && r == c)) x.at_a(r, c) = T(0);
+              }
+              expect_left_trmm_matches(uplo, trans, diag, T(-0.7), x);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TrmmLeft, HostileInputsEveryIsaF64) { left_trmm_hostile<double>(); }
+
+TEST(TrmmLeft, HostileInputsEveryIsaF32) { left_trmm_hostile<float>(); }
 
 TEST(Level2, TrsvSolves) {
   Matrix a = make_triangular(8, Uplo::Upper, 41);

@@ -91,21 +91,23 @@ TEST_P(TsParam, TsmqrRoundTrip) {
 }
 
 // The transformation must preserve the Frobenius norm of stacked data
-// (orthogonality property).
+// (orthogonality property), applied as Q^T and as Q.
 TEST_P(TsParam, TsmqrPreservesNorm) {
   const auto [n, m2, ib] = GetParam();
   Matrix r1 = upper_square(random_matrix(n, n, 307), n);
   Matrix a2 = random_matrix(m2, n, 308);
   Matrix t(std::min(ib, n), n);
   kernels::tsqrt(r1.view(), a2.view(), ib, t.view());
-  Matrix c1 = random_matrix(n, 4, 309);
-  Matrix c2 = random_matrix(m2, 4, 310);
-  const double before = std::hypot(blas::norm_fro(c1.view()),
-                                   blas::norm_fro(c2.view()));
-  kernels::tsmqr(Trans::Yes, a2.view(), t.view(), ib, c1.view(), c2.view());
-  const double after = std::hypot(blas::norm_fro(c1.view()),
-                                  blas::norm_fro(c2.view()));
-  EXPECT_NEAR(before, after, 1e-11 * before);
+  for (Trans trans : {Trans::Yes, Trans::No}) {
+    Matrix c1 = random_matrix(n, 4, 309);
+    Matrix c2 = random_matrix(m2, 4, 310);
+    const double before = std::hypot(blas::norm_fro(c1.view()),
+                                     blas::norm_fro(c2.view()));
+    kernels::tsmqr(trans, a2.view(), t.view(), ib, c1.view(), c2.view());
+    const double after = std::hypot(blas::norm_fro(c1.view()),
+                                    blas::norm_fro(c2.view()));
+    EXPECT_NEAR(before, after, 1e-11 * before);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -114,7 +116,12 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(8, 8, 8), std::make_tuple(8, 8, 3),
                       std::make_tuple(6, 2, 2),   // short A2 (m2 < n)
                       std::make_tuple(5, 17, 2),  // tall A2
-                      std::make_tuple(16, 16, 4)));
+                      std::make_tuple(16, 16, 4),
+                      // ib large enough that the T-block trmm recurses
+                      // and runs its off-diagonal blocks through gemm.
+                      std::make_tuple(128, 128, 32),
+                      std::make_tuple(100, 100, 24),
+                      std::make_tuple(48, 48, 48)));
 
 // ---- TT kernels ------------------------------------------------------------
 
@@ -162,12 +169,33 @@ TEST_P(TtParam, TtmqrRoundTrip) {
   EXPECT_LT(max_diff(c2.view(), c2_0.view()), 1e-12);
 }
 
+TEST_P(TtParam, TtmqrPreservesNorm) {
+  const auto [n, m2, ib] = GetParam();
+  Matrix r1 = upper_square(random_matrix(n, n, 317), n);
+  Matrix a2 = random_matrix(m2, n, 318);
+  Matrix t(std::min(ib, n), n);
+  kernels::ttqrt(r1.view(), a2.view(), ib, t.view());
+  for (Trans trans : {Trans::Yes, Trans::No}) {
+    Matrix c1 = random_matrix(n, 4, 319);
+    Matrix c2 = random_matrix(m2, 4, 320);
+    const double before = std::hypot(blas::norm_fro(c1.view()),
+                                     blas::norm_fro(c2.view()));
+    kernels::ttmqr(trans, a2.view(), t.view(), ib, c1.view(), c2.view());
+    const double after = std::hypot(blas::norm_fro(c1.view()),
+                                    blas::norm_fro(c2.view()));
+    EXPECT_NEAR(before, after, 1e-11 * before);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Shapes, TtParam,
                          ::testing::Values(std::make_tuple(1, 1, 1),
                                            std::make_tuple(4, 4, 2),
                                            std::make_tuple(8, 8, 3),
                                            std::make_tuple(6, 3, 2),  // short loser
-                                           std::make_tuple(12, 12, 4)));
+                                           std::make_tuple(12, 12, 4),
+                                           std::make_tuple(128, 128, 32),
+                                           std::make_tuple(100, 100, 24),
+                                           std::make_tuple(48, 48, 48)));
 
 // ---- geqrt/ormqr as tile kernels -------------------------------------------
 
@@ -220,6 +248,37 @@ TEST(GeqrtTileF32, ApplyTransposeYieldsR) {
     for (int j = 0; j < n; ++j) {
       for (int i = 0; i <= j; ++i) EXPECT_NEAR(c(i, j), a(i, j), tol);
       for (int i = j + 1; i < m; ++i) EXPECT_NEAR(c(i, j), 0.0f, tol);
+    }
+  }
+}
+
+// Full-tile geqrt/ormqr with ib large enough that every larfb trmm
+// recurses (ib = 32 splits evenly, ib = 17 leaves a 9-column last panel):
+// Q^T A = [R; 0], Q [R; 0] = A, and both Q and Q^T preserve norms.
+TEST(GeqrtTile, LargeIbReconstructsAndIsOrthogonal) {
+  const int m = 128;
+  const int n = 128;
+  for (int ib : {32, 17}) {
+    SCOPED_TRACE(::testing::Message() << "ib=" << ib);
+    Matrix a = random_matrix(m, n, 351);
+    Matrix a0 = a;
+    Matrix t(ib, n);
+    kernels::geqrt(a.view(), ib, t.view());
+    Matrix r(m, n);
+    for (int j = 0; j < n; ++j) {
+      for (int i = 0; i <= j; ++i) r(i, j) = a(i, j);
+    }
+    Matrix qta = a0;
+    kernels::ormqr(Trans::Yes, a.view(), t.view(), ib, qta.view());
+    EXPECT_LT(max_diff(qta.view(), r.view()), 1e-12 * (1 + n));
+    Matrix qr = r;
+    kernels::ormqr(Trans::No, a.view(), t.view(), ib, qr.view());
+    EXPECT_LT(max_diff(qr.view(), a0.view()), 1e-12 * (1 + n));
+    for (Trans trans : {Trans::Yes, Trans::No}) {
+      Matrix c = random_matrix(m, 5, 352);
+      const double before = blas::norm_fro(c.view());
+      kernels::ormqr(trans, a.view(), t.view(), ib, c.view());
+      EXPECT_NEAR(blas::norm_fro(c.view()), before, 1e-11 * before);
     }
   }
 }

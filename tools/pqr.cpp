@@ -50,6 +50,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -75,25 +76,49 @@ using namespace pulsarqr;
 namespace {
 
 struct Args {
+  std::string command;
   std::map<std::string, std::string> kv;
+  // Every key a getter has looked up; reject_unread() compares against it.
+  mutable std::set<std::string> read;
 
-  bool has(const std::string& k) const { return kv.count(k) > 0; }
+  bool has(const std::string& k) const {
+    read.insert(k);
+    return kv.count(k) > 0;
+  }
   int geti(const std::string& k, int dflt) const {
+    read.insert(k);
     auto it = kv.find(k);
     return it == kv.end() ? dflt : std::atoi(it->second.c_str());
   }
   std::string gets(const std::string& k, const std::string& dflt) const {
+    read.insert(k);
     auto it = kv.find(k);
     return it == kv.end() ? dflt : it->second;
   }
   double getd(const std::string& k, double dflt) const {
+    read.insert(k);
     auto it = kv.find(k);
     return it == kv.end() ? dflt : std::atof(it->second.c_str());
+  }
+
+  /// Exit with status 2, naming every such flag, if the command line
+  /// carries keys the command has not read. Each command calls this once
+  /// it has read all of its options and before it does any work.
+  void reject_unread() const {
+    std::string unread;
+    for (const auto& [key, value] : kv) {
+      if (read.count(key) == 0) unread += " --" + key;
+    }
+    if (unread.empty()) return;
+    std::fprintf(stderr, "unknown flag(s) for pqr %s:%s\n", command.c_str(),
+                 unread.c_str());
+    std::exit(2);
   }
 };
 
 Args parse(int argc, char** argv, int first) {
   Args a;
+  a.command = argv[first - 1];
   for (int i = first; i < argc; ++i) {
     const char* arg = argv[i];
     if (arg[0] != '-' || arg[1] != '-') {
@@ -210,10 +235,15 @@ int cmd_factor(const Args& a) {
   const int m = a.geti("m", 4096);
   const int n = a.geti("n", 512);
   const int nb = a.geti("nb", 128);
-  Matrix a0(m, n);
-  fill_random(a0.view(), a.geti("seed", 1));
-  TileMatrix tiled = TileMatrix::from_dense(a0.view(), nb);
+  const int seed = a.geti("seed", 1);
   auto opt = qr_options(a);
+  const std::string trace_file =
+      a.has("trace") ? a.gets("trace", "trace.csv") : "";
+  const bool check = a.has("check");
+  a.reject_unread();
+  Matrix a0(m, n);
+  fill_random(a0.view(), seed);
+  TileMatrix tiled = TileMatrix::from_dense(a0.view(), nb);
   auto run = vsaqr::tree_qr(tiled, opt);
   std::printf("factor %dx%d nb=%d ib=%d tree=%s kernels=%s/f64: %.3fs wall, "
               "%lld firings, %d VDPs, %d channels, %lld inter-node msgs "
@@ -240,13 +270,13 @@ int cmd_factor(const Args& a) {
                 run.stats.duplicates_suppressed, run.stats.acks_sent);
   }
   print_recovery(run.stats, opt.max_respawns);
-  if (a.has("trace")) {
-    std::ofstream os(a.gets("trace", "trace.csv"));
+  if (!trace_file.empty()) {
+    std::ofstream os(trace_file);
     prt::trace::write_csv(os, run.events);
-    std::printf("trace written to %s (%zu events)\n",
-                a.gets("trace", "trace.csv").c_str(), run.events.size());
+    std::printf("trace written to %s (%zu events)\n", trace_file.c_str(),
+                run.events.size());
   }
-  if (a.has("check")) {
+  if (check) {
     TileMatrix b = TileMatrix::from_dense(a0.view(), nb);
     ref::apply_q(blas::Trans::Yes, run.factors, b);
     double below = 0.0;
@@ -288,12 +318,15 @@ int run_batch(const Args& a, const char* prec) {
   opt.chunk = a.geti("chunk", 0);
   opt.graph_check = a.geti("graph-check", 1) != 0;
   opt.record_latency = true;
+  const int seed = a.geti("seed", 1);
+  const bool check = a.has("check");
+  a.reject_unread();
 
   std::vector<MatrixT<T>> mats, tfac;
   std::vector<MatrixViewT<T>> av, tv;
   mats.reserve(batch);
   tfac.reserve(batch);
-  Rng rng(static_cast<std::uint64_t>(a.geti("seed", 1)));
+  Rng rng(static_cast<std::uint64_t>(seed));
   for (int i = 0; i < batch; ++i) {
     mats.emplace_back(m, n);
     tfac.emplace_back(std::min(opt.ib, k), k);
@@ -303,7 +336,7 @@ int run_batch(const Args& a, const char* prec) {
     }
   }
   std::vector<MatrixT<T>> ref_a, ref_t;
-  if (a.has("check")) {
+  if (check) {
     ref_a = mats;
     ref_t = tfac;
   }
@@ -323,7 +356,7 @@ int run_batch(const Args& a, const char* prec) {
               blas::simd::isa_name(blas::simd::active_isa()), prec,
               run.stats.seconds, batch / run.stats.seconds, pct_us(lat, 50),
               pct_us(lat, 99), run.stats.fires, run.vdp_count, run.chunks);
-  if (a.has("check")) {
+  if (check) {
     kernels::Workspace ws;
     long long mismatches = 0;
     for (int i = 0; i < batch; ++i) {
@@ -354,12 +387,15 @@ int cmd_solve(const Args& a) {
   const int n = a.geti("n", 512);
   const int nb = a.geti("nb", 128);
   const int nrhs = a.geti("nrhs", 1);
+  const int seed = a.geti("seed", 1);
+  const auto opt = qr_options(a);
+  a.reject_unread();
   Matrix a0(m, n);
-  fill_random_well_conditioned(a0.view(), a.geti("seed", 1));
+  fill_random_well_conditioned(a0.view(), seed);
   Matrix b(m, nrhs);
-  fill_random(b.view(), a.geti("seed", 1) + 1);
+  fill_random(b.view(), seed + 1);
   TileMatrix tiled = TileMatrix::from_dense(a0.view(), nb);
-  Matrix x = vsaqr::tree_qr_solve(tiled, b.view(), qr_options(a));
+  Matrix x = vsaqr::tree_qr_solve(tiled, b.view(), opt);
   // Report residual orthogonality per rhs.
   double worst = 0.0;
   for (int r = 0; r < nrhs; ++r) {
@@ -380,12 +416,14 @@ int cmd_solve(const Args& a) {
 int cmd_chol(const Args& a) {
   const int n = a.geti("n", 1024);
   const int nb = a.geti("nb", 128);
-  Matrix spd = chol::random_spd(n, a.geti("seed", 1));
+  const int seed = a.geti("seed", 1);
   chol::VsaCholOptions opt;
   opt.nodes = a.geti("nodes", 1);
   opt.workers_per_node = a.geti("workers", 2);
   opt.graph_check = a.geti("graph-check", 1) != 0;
   transport_options(opt, a);
+  a.reject_unread();
+  Matrix spd = chol::random_spd(n, seed);
   auto run = chol::vsa_cholesky(TileMatrix::from_dense(spd.view(), nb), opt);
   print_recovery(run.stats, opt.max_respawns);
   Matrix l = chol::extract_l(run.l);
@@ -408,16 +446,18 @@ int cmd_chol(const Args& a) {
 int cmd_lu(const Args& a) {
   const int n = a.geti("n", 1024);
   const int nb = a.geti("nb", 128);
-  Matrix m = lu::random_diag_dominant(n, n, a.geti("seed", 1));
+  const int seed = a.geti("seed", 1);
   lu::VsaLuOptions opt;
   opt.nodes = a.geti("nodes", 1);
   opt.workers_per_node = a.geti("workers", 2);
   opt.graph_check = a.geti("graph-check", 1) != 0;
   transport_options(opt, a);
+  a.reject_unread();
+  Matrix m = lu::random_diag_dominant(n, n, seed);
   auto run = lu::vsa_lu(TileMatrix::from_dense(m.view(), nb), opt);
   print_recovery(run.stats, opt.max_respawns);
   // Verify by solving a planted system through the factors.
-  Rng rng(a.geti("seed", 1) + 7);
+  Rng rng(seed + 7);
   std::vector<double> xtrue(n);
   for (auto& v : xtrue) v = rng.next_symmetric();
   std::vector<double> b(n, 0.0);
@@ -438,17 +478,22 @@ int cmd_simulate(const Args& a) {
   const int nodes = a.geti("nodes", 768);
   const std::string algo = a.gets("algo", "qr");
   const sim::MachineModel mm = sim::MachineModel::kraken();
-  sim::SimResult r;
-  if (algo == "qr") {
-    r = sim::simulate_tree_qr(m, n, nb, a.geti("ib", 48), tree_config(a), mm,
-                              nodes);
-  } else if (algo == "chol") {
-    r = sim::simulate_cholesky(n, nb, mm, nodes);
-  } else if (algo == "lu") {
-    r = sim::simulate_lu(m, n, nb, mm, nodes);
-  } else {
+  if (algo != "qr" && algo != "chol" && algo != "lu") {
     std::fprintf(stderr, "unknown --algo %s (qr|chol|lu)\n", algo.c_str());
     return 2;
+  }
+  // ib and the tree shape only exist for the QR plan.
+  const int ib = algo == "qr" ? a.geti("ib", 48) : 0;
+  const plan::PlanConfig cfg =
+      algo == "qr" ? tree_config(a) : plan::PlanConfig{};
+  a.reject_unread();
+  sim::SimResult r;
+  if (algo == "qr") {
+    r = sim::simulate_tree_qr(m, n, nb, ib, cfg, mm, nodes);
+  } else if (algo == "chol") {
+    r = sim::simulate_cholesky(n, nb, mm, nodes);
+  } else {
+    r = sim::simulate_lu(m, n, nb, mm, nodes);
   }
   std::printf("simulate %s %dx%d nb=%d on %d nodes (%d cores, kraken "
               "model):\n",
