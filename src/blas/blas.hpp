@@ -53,26 +53,17 @@ void trsv(Uplo uplo, Trans trans, Diag diag, ConstMatrixView a, double* x);
 
 // ---- Level 3 -------------------------------------------------------------
 
-/// Matrix-multiply implementation behind gemm().
-///   Packed — cache-blocked MC/KC/NC loop nest over packed A/B panels with
-///            an 8x4 register-tiled micro-kernel; the default. All four
-///            Trans combinations pack into one uniform layout.
-///   Ref    — the original unblocked column-sweep kernels; kept as the A/B
-///            baseline (mirrors prt::ChannelImpl::Mutex) and used for
-///            shapes too small to amortize packing.
-enum class GemmImpl { Ref, Packed };
-
-/// Select the process-wide gemm implementation (thread-safe knob; reads are
-/// relaxed atomics on the gemm hot path).
-void set_gemm_impl(GemmImpl impl);
-GemmImpl gemm_impl();
-
-/// C := alpha * op(A) * op(B) + beta * C.
+/// C := alpha * op(A) * op(B) + beta * C. Products above
+/// gemm_small_max_work() run the packed path (a cache-blocked MC/KC/NC
+/// loop nest over packed A/B panels with a register-tiled micro-kernel;
+/// all four Trans combinations pack into one uniform layout), smaller
+/// ones the direct small path.
 void gemm(Trans ta, Trans tb, double alpha, ConstMatrixView a,
           ConstMatrixView b, double beta, MatrixView c);
 
-/// The two implementations, directly callable (for A/B tests and benches);
-/// same contract as gemm() but never re-dispatch.
+/// gemm_ref is the unblocked column-sweep reference, the oracle of the
+/// gemm tests and kernel benches; gemm_packed is gemm()'s large-product
+/// path. Same contract as gemm(), never re-dispatched.
 void gemm_ref(Trans ta, Trans tb, double alpha, ConstMatrixView a,
               ConstMatrixView b, double beta, MatrixView c);
 void gemm_packed(Trans ta, Trans tb, double alpha, ConstMatrixView a,

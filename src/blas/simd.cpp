@@ -53,8 +53,8 @@ bool cpu_has(Isa isa) {
 // Publish the tables for `isa` (caller holds g_select_mutex and has
 // checked isa_supported).
 void publish(Isa isa) {
-  detail::table_f64.store(&kernels_f64(isa), std::memory_order_relaxed);
-  detail::table_f32.store(&kernels_f32(isa), std::memory_order_relaxed);
+  detail::table_f64.store(&kernels_f64(isa), std::memory_order_release);
+  detail::table_f32.store(&kernels_f32(isa), std::memory_order_release);
   g_active = isa;
 }
 

@@ -104,23 +104,24 @@ const KernelTable<double>* resolve_f64();
 const KernelTable<float>* resolve_f32();
 }  // namespace detail
 
-/// The active ISA's kernel table for T (T = double or float). The atomic
-/// load is relaxed: tables are immutable once published and the selection
-/// is a process-wide knob like blas::gemm_impl().
+/// The active ISA's kernel table for T (T = double or float). The load
+/// acquires what publish() released: a table is built by the thread that
+/// first resolves it, so another worker may read its fields only after
+/// that handoff (an acquire load costs a plain load on x86 and AArch64).
 template <class T>
 inline const KernelTable<T>& kernels();
 
 template <>
 inline const KernelTable<double>& kernels<double>() {
   const KernelTable<double>* t =
-      detail::table_f64.load(std::memory_order_relaxed);
+      detail::table_f64.load(std::memory_order_acquire);
   return t ? *t : *detail::resolve_f64();
 }
 
 template <>
 inline const KernelTable<float>& kernels<float>() {
   const KernelTable<float>* t =
-      detail::table_f32.load(std::memory_order_relaxed);
+      detail::table_f32.load(std::memory_order_acquire);
   return t ? *t : *detail::resolve_f32();
 }
 

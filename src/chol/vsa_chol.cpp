@@ -106,7 +106,7 @@ void update_fire(VdpContext& ctx, const UpdateCfg& cfg) {
 class Builder {
  public:
   Builder(const TileMatrix& a, const VsaCholOptions& opt)
-      : a_(a), opt_(opt), vsa_(make_config(opt)) {
+      : a_(a), vsa_(opt) {
     require(a.rows() == a.cols(), "vsa_cholesky: matrix must be square");
     store_ = std::make_shared<CholStore>(TileMatrix(a.rows(), a.cols(),
                                                     a.nb()));
@@ -130,7 +130,7 @@ class Builder {
 
   void build() {
     const int mt = a_.mt();
-    const int threads = opt_.nodes * opt_.workers_per_node;
+    const int threads = vsa_.total_threads();
     int rr = 0;
     for (int k = 0; k < mt; ++k) {
       // Panel VDP.
@@ -197,31 +197,11 @@ class Builder {
     auto stats = vsa_.run();
     VsaCholRun out{std::move(store_->l), stats, {}, vdp_count_,
                    channel_count_};
-    if (opt_.trace) out.events = vsa_.recorder().collect();
+    if (vsa_.config().trace) out.events = vsa_.recorder().collect();
     return out;
   }
 
  private:
-  static prt::Vsa::Config make_config(const VsaCholOptions& opt) {
-    prt::Vsa::Config c;
-    c.nodes = opt.nodes;
-    c.workers_per_node = opt.workers_per_node;
-    c.scheduling = opt.scheduling;
-    c.work_stealing = opt.work_stealing;
-    c.trace = opt.trace;
-    c.watchdog_seconds = opt.watchdog_seconds;
-    c.graph_check = opt.graph_check;
-    c.transport = opt.transport;
-    c.reliable_transport = opt.reliable_transport;
-    c.fault_plan = opt.fault_plan;
-    c.retransmit_timeout_us = opt.retransmit_timeout_us;
-    c.max_retransmits = opt.max_retransmits;
-    c.max_respawns = opt.max_respawns;
-    c.replay_log_bytes = opt.replay_log_bytes;
-    c.heartbeat_timeout_seconds = opt.heartbeat_timeout_seconds;
-    return c;
-  }
-
   /// Step-0 consumers are fed the input tiles; later steps are wired by
   /// their producers (see run()).
   void wire_tiles(const Tuple& dst, int k, int j, bool enabled) {
@@ -239,7 +219,6 @@ class Builder {
   }
 
   const TileMatrix& a_;
-  VsaCholOptions opt_;
   prt::Vsa vsa_;
   std::shared_ptr<CholStore> store_;
   std::size_t bytes_ = 0;

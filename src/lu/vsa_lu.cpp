@@ -115,7 +115,7 @@ void update_fire(VdpContext& ctx, const UpdateCfg& cfg) {
 class Builder {
  public:
   Builder(const TileMatrix& a, const VsaLuOptions& opt)
-      : a_(a), opt_(opt), vsa_(make_config(opt)) {
+      : a_(a), vsa_(opt) {
     store_ = std::make_shared<LuStore>(TileMatrix(a.rows(), a.cols(), a.nb()));
     vsa_.set_global(store_);
     if (opt.transport == prt::Transport::Socket) {
@@ -139,7 +139,7 @@ class Builder {
     const int mt = a_.mt();
     const int nt = a_.nt();
     const int panels = std::min(mt, nt);
-    const int threads = opt_.nodes * opt_.workers_per_node;
+    const int threads = vsa_.total_threads();
     int rr = 0;
     for (int k = 0; k < panels; ++k) {
       const int kb = std::min(a_.tile_rows(k), a_.tile_cols(k));
@@ -199,31 +199,11 @@ class Builder {
     build();
     auto stats = vsa_.run();
     VsaLuRun out{std::move(store_->f), stats, {}, vdp_count_, channel_count_};
-    if (opt_.trace) out.events = vsa_.recorder().collect();
+    if (vsa_.config().trace) out.events = vsa_.recorder().collect();
     return out;
   }
 
  private:
-  static prt::Vsa::Config make_config(const VsaLuOptions& opt) {
-    prt::Vsa::Config c;
-    c.nodes = opt.nodes;
-    c.workers_per_node = opt.workers_per_node;
-    c.scheduling = opt.scheduling;
-    c.work_stealing = opt.work_stealing;
-    c.trace = opt.trace;
-    c.watchdog_seconds = opt.watchdog_seconds;
-    c.graph_check = opt.graph_check;
-    c.transport = opt.transport;
-    c.reliable_transport = opt.reliable_transport;
-    c.fault_plan = opt.fault_plan;
-    c.retransmit_timeout_us = opt.retransmit_timeout_us;
-    c.max_retransmits = opt.max_retransmits;
-    c.max_respawns = opt.max_respawns;
-    c.replay_log_bytes = opt.replay_log_bytes;
-    c.heartbeat_timeout_seconds = opt.heartbeat_timeout_seconds;
-    return c;
-  }
-
   void feed_if_first_step(const Tuple& dst, int k, int j) {
     if (k > 0) return;  // wired by the producing S(k-1, j)
     std::vector<Packet> initial;
@@ -235,7 +215,6 @@ class Builder {
   }
 
   const TileMatrix& a_;
-  VsaLuOptions opt_;
   prt::Vsa vsa_;
   std::shared_ptr<LuStore> store_;
   std::size_t bytes_ = 0;

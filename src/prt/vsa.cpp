@@ -123,6 +123,7 @@ struct Vsa::Node {
   std::vector<Worker*> workers;
   std::unordered_map<std::uint64_t, Channel*> route;  ///< (src, tag) -> channel
   bool has_remote = false;
+  bool local = false;  ///< in the node set this process runs
   std::thread proxy;
 
   // Work-stealing executor state: a shared pool of fire candidates for
@@ -171,10 +172,62 @@ struct PoolWaker : Waker {
 
 // ---- construction -----------------------------------------------------------
 
-Vsa::Vsa(Config cfg) : cfg_(cfg) {
-  require(cfg_.nodes >= 1 && cfg_.workers_per_node >= 1,
-          "Vsa: need at least one node and one worker per node");
+// Every Config field with a constraint, checked once, before any thread
+// or process exists; each failure names its field.
+void Vsa::Config::validate() const {
+  auto fail = [](const std::string& what) {
+    throw Error("Vsa::Config::" + what);
+  };
+  auto str = [](double v) {
+    std::ostringstream os;
+    os << v;
+    return os.str();
+  };
+  auto at_least = [&](double v, double min, const char* field) {
+    // Written as !(v >= min) so a NaN fails too.
+    if (!(v >= min)) {
+      fail(std::string(field) + " must be >= " + str(min) + " (got " +
+           str(v) + ")");
+    }
+  };
+  auto probability = [&](double p, const char* field) {
+    if (!(p >= 0.0 && p <= 1.0)) {
+      fail(std::string("fault_plan.") + field +
+           " must be a probability in [0, 1] (got " + str(p) + ")");
+    }
+  };
+  at_least(nodes, 1, "nodes");
+  at_least(workers_per_node, 1, "workers_per_node");
+  at_least(retransmit_timeout_us, 1, "retransmit_timeout_us");
+  at_least(max_retransmits, 0, "max_retransmits");
+  at_least(max_respawns, 0, "max_respawns");
+  at_least(coalesce_flush_us, 0, "coalesce_flush_us");
+  at_least(watchdog_seconds, 0, "watchdog_seconds");
+  at_least(heartbeat_timeout_seconds, 0, "heartbeat_timeout_seconds");
+  at_least(fault_plan.delay_us, 0, "fault_plan.delay_us");
+  probability(fault_plan.drop, "drop");
+  probability(fault_plan.dup, "dup");
+  probability(fault_plan.delay, "delay");
+  probability(fault_plan.reorder, "reorder");
+  if (max_respawns > 0 && transport != Transport::Socket) {
+    fail("max_respawns requires the Socket transport (crash recovery "
+         "respawns OS processes)");
+  }
+  if (max_respawns > 0 && !reliable_transport) {
+    fail("max_respawns > 0 requires reliable_transport — survivors replay "
+         "a crashed peer's frames from the protocol's retained send log");
+  }
+  if (fault_plan.kill() && transport != Transport::Socket) {
+    fail("fault_plan.kill_rank requires the Socket transport (there is no "
+         "process to kill in-process)");
+  }
+  if (fault_plan.kill_rank >= nodes) {
+    fail("fault_plan.kill_rank must name a node (got " +
+         str(fault_plan.kill_rank) + ")");
+  }
 }
+
+Vsa::Vsa(Config cfg) : cfg_(cfg) { cfg_.validate(); }
 
 Vsa::~Vsa() = default;
 
@@ -296,8 +349,7 @@ void Vsa::validate_and_wire() {
             "feed: bad input slot on " + f.dst.to_string());
     require(dst.inputs_[f.in_slot] == nullptr,
             "feed: input slot already connected on " + f.dst.to_string());
-    auto ch = std::make_unique<Channel>(f.max_bytes, f.enabled,
-                                        cfg_.channel_impl, f.capacity);
+    auto ch = std::make_unique<Channel>(f.max_bytes, f.enabled, f.capacity);
     for (auto& p : f.initial) ch->push(std::move(p));
     dst.inputs_[f.in_slot] = std::move(ch);
   }
@@ -316,8 +368,7 @@ void Vsa::validate_and_wire() {
     require(dst.inputs_[e.in_slot] == nullptr,
             "connect: input slot already connected on " + e.dst.to_string());
 
-    auto ch = std::make_unique<Channel>(e.max_bytes, e.enabled,
-                                        cfg_.channel_impl, e.capacity);
+    auto ch = std::make_unique<Channel>(e.max_bytes, e.enabled, e.capacity);
     Channel* chp = ch.get();
     dst.inputs_[e.in_slot] = std::move(ch);
 
@@ -478,7 +529,6 @@ void Vsa::worker_loop(Worker& w) {
       });
     }
   }
-  workers_running_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void Vsa::worker_loop_stealing(Worker& w, Node& n) {
@@ -554,7 +604,6 @@ void Vsa::worker_loop_stealing(Worker& w, Node& n) {
       n.enqueue(v);
     }
   }
-  workers_running_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void Vsa::proxy_loop(Node& n) {
@@ -865,18 +914,47 @@ void Vsa::proxy_loop(Node& n) {
   }
 }
 
+void Vsa::wake_nodes() {
+  for (Node* n : local_nodes_) {
+    for (Worker* w : n->workers) w->wake();
+    {
+      // Locking pairs with the parked predicate of worker_loop_stealing.
+      std::lock_guard<std::mutex> lock(n->pool_mu);
+      n->pool_cv.notify_all();
+    }
+    comm_->interrupt(n->id);  // proxies blocked in recv_wait
+  }
+}
+
+void Vsa::cancel() {
+  cancelled_.store(true, std::memory_order_release);
+  wake_nodes();
+}
+
 void Vsa::cancel_run_from_transport() {
   if (transport_failed_.exchange(true, std::memory_order_acq_rel)) return;
-  cancelled_.store(true, std::memory_order_release);
-  // Same wake fan-out as the shutdown path in run(): parked workers,
-  // work-stealing pools, and proxies blocked in recv_wait.
-  for (auto& w : workers_) w->wake();
-  for (auto& node : nodes_) {
-    std::lock_guard<std::mutex> lock(node->pool_mu);
-    node->pool_cv.notify_all();
-  }
-  for (int r = 0; r < cfg_.nodes; ++r) comm_->interrupt(r);
+  cancel();
 }
+
+namespace {
+std::string failure_header(const std::string& reason, const Vsa::Config& cfg) {
+  if (reason == "transport") {
+    return "PRT transport: reliable delivery failed (retransmit limit "
+           "reached after " +
+           std::to_string(cfg.max_retransmits) +
+           " attempts); tearing the run down.\n";
+  }
+  if (reason == "watchdog") {
+    return "PRT watchdog: no VDP fired for " +
+           std::to_string(cfg.watchdog_seconds) +
+           "s; the VSA is deadlocked.\n";
+  }
+  return "PRT socket transport: a node process exited without a report "
+         "(crash or abort in a forked node) and the respawn budget was "
+         "exhausted or recovery is off (Config::max_respawns); tearing the "
+         "run down.\n";
+}
+}  // namespace
 
 Vsa::RunStats Vsa::run() {
   require(!ran_, "run: VSA already ran");
@@ -902,22 +980,24 @@ Vsa::RunStats Vsa::run() {
     const unsigned hw = std::thread::hardware_concurrency();
     spin_us_ = (hw != 0 && workers_.size() <= hw) ? 50 : 0;
   }
-  if (cfg_.max_respawns > 0) {
-    require(cfg_.transport == Transport::Socket,
-            "run: Config::max_respawns requires the Socket transport (crash "
-            "recovery respawns OS processes)");
-    require(cfg_.reliable_transport,
-            "run: crash recovery (max_respawns > 0) requires "
-            "reliable_transport — survivors replay a crashed peer's frames "
-            "from the protocol's retained send log");
-  }
-  require(!cfg_.fault_plan.kill() || cfg_.transport == Transport::Socket,
-          "run: FaultPlan kill faults require the Socket transport (there is "
-          "no process to kill in-process)");
-
   if (cfg_.transport == Transport::Socket) return run_socket();
 
   comm_ = std::make_unique<net::MailboxComm>(cfg_.nodes);
+  std::vector<int> all(cfg_.nodes);
+  for (int r = 0; r < cfg_.nodes; ++r) all[r] = r;
+  RunStats stats = run_nodes(all);
+  if (cancelled_.load()) {
+    // Workers and proxies are already joined: the teardown is complete
+    // and the error below is the only thing that escapes.
+    RunReport report = make_run_report();
+    std::string header = failure_header(report.reason, cfg_);
+    throw RunError(std::move(header), std::move(report));
+  }
+  return stats;
+}
+
+Vsa::RunStats Vsa::run_nodes(const std::vector<int>& ranks,
+                             const NodeHooks& hooks) {
   if (cfg_.fault_plan.any()) comm_->set_fault_plan(cfg_.fault_plan);
   // Pool counters are process-global; snapshot them so RunStats reports
   // this run's delta (a warmed pool shows zero misses here).
@@ -927,49 +1007,71 @@ Vsa::RunStats Vsa::run() {
                                                 cfg_.nodes);
   recorder_->start_clock();
 
-  workers_running_.store(static_cast<int>(workers_.size()));
+  std::vector<Worker*> local;
+  for (int r : ranks) {
+    Node* n = nodes_[r].get();
+    n->local = true;
+    local_nodes_.push_back(n);
+    local.insert(local.end(), n->workers.begin(), n->workers.end());
+  }
+  workers_running_.store(static_cast<int>(local.size()));
   const auto t_start = std::chrono::steady_clock::now();
   if (cfg_.work_stealing) {
-    // Seed every VDP as an initial fire candidate on its node.
+    // Seed every VDP of the node set as an initial fire candidate; the
+    // rest of the graph belongs to sibling node processes.
     for (Vdp* v : creation_order_) {
-      nodes_[v->global_thread_ / cfg_.workers_per_node]->enqueue(v);
+      Node& n = *nodes_[v->global_thread_ / cfg_.workers_per_node];
+      if (n.local) n.enqueue(v);
     }
   }
-  for (auto& w : workers_) {
-    w->thread = std::thread([this, wp = w.get()] {
+  for (Worker* w : local) {
+    w->thread = std::thread([this, w] {
       if (cfg_.work_stealing) {
-        worker_loop_stealing(*wp, *nodes_[wp->node_id]);
+        worker_loop_stealing(*w, *nodes_[w->node_id]);
       } else {
-        worker_loop(*wp);
+        worker_loop(*w);
+      }
+      if (workers_running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        std::lock_guard<std::mutex> lock(loop_mu_);
+        loop_cv_.notify_all();
       }
     });
   }
-  bool any_proxy = false;
-  for (auto& n : nodes_) {
-    if (n->has_remote) {
-      n->proxy = std::thread([this, np = n.get()] { proxy_loop(*np); });
-      any_proxy = true;
+  for (Node* n : local_nodes_) {
+    // With a respawn budget the proxy must exist even on a node with no
+    // remote channels today: a rejoining replacement may need its acks
+    // and replays served.
+    if (n->has_remote || cfg_.max_respawns > 0) {
+      n->proxy = std::thread([this, n] { proxy_loop(*n); });
     }
   }
 
   // Watchdog: progress is any completed fire, any fire START since the
-  // last check, or a firing currently in flight (odd per-worker
-  // heartbeat). A single kernel outliving watchdog_seconds is therefore
-  // never a false deadlock; only "no VDP can fire anywhere" trips it.
+  // last check, a firing currently in flight (odd per-worker heartbeat),
+  // or whatever the transport's tick reports. A single kernel outliving
+  // watchdog_seconds is therefore never a false deadlock; only "no VDP
+  // can fire anywhere" trips it.
   long long last_fires = -1;
-  std::vector<std::uint64_t> last_heartbeat(workers_.size(), 0);
+  std::vector<std::uint64_t> last_heartbeat(local.size(), 0);
   auto last_progress = std::chrono::steady_clock::now();
-  while (workers_running_.load(std::memory_order_acquire) > 0) {
-    std::this_thread::sleep_for(1ms);
-    bool progress = false;
+  for (;;) {
+    bool running;
+    {
+      std::unique_lock<std::mutex> lock(loop_mu_);
+      running = !loop_cv_.wait_for(lock, 1ms, [this] {
+        return workers_running_.load(std::memory_order_acquire) == 0;
+      });
+    }
+    bool progress = hooks.tick && hooks.tick();
+    if (!running) break;
     const long long f = fires_.load(std::memory_order_relaxed);
     if (f != last_fires) {
       last_fires = f;
       progress = true;
     }
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
+    for (std::size_t i = 0; i < local.size(); ++i) {
       const std::uint64_t hb =
-          workers_[i]->fire_epoch.load(std::memory_order_relaxed);
+          local[i]->fire_epoch.load(std::memory_order_relaxed);
       if (hb != last_heartbeat[i]) {
         last_heartbeat[i] = hb;
         progress = true;
@@ -988,77 +1090,62 @@ Vsa::RunStats Vsa::run() {
     }
   }
 
-  // Shut down: wake everything, join workers, then proxies.
-  for (auto& w : workers_) w->wake();
-  for (auto& n : nodes_) {
-    std::lock_guard<std::mutex> lock(n->pool_mu);
-    n->pool_cv.notify_all();
-  }
-  for (auto& w : workers_) w->thread.join();
+  // Shut down: wake everything and join the workers, let the transport
+  // settle, then stop the proxies.
+  wake_nodes();
+  for (Worker* w : local) w->thread.join();
+  if (hooks.settle) hooks.settle();
   done_.store(true, std::memory_order_release);
-  if (any_proxy) {
-    for (int r = 0; r < cfg_.nodes; ++r) comm_->interrupt(r);
-    for (auto& n : nodes_) {
-      if (n->proxy.joinable()) n->proxy.join();
-    }
+  for (Node* n : local_nodes_) comm_->interrupt(n->id);
+  for (Node* n : local_nodes_) {
+    if (n->proxy.joinable()) n->proxy.join();
   }
+  if (cancelled_.load()) return {};
+  return node_stats(std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t_start)
+                        .count(),
+                    pool0);
+}
 
-  if (cancelled_.load()) {
-    // Workers and proxies are already joined: the teardown is complete
-    // and the error below is the only thing that escapes.
-    RunReport report = make_run_report();
-    std::string header;
-    if (report.reason == "transport") {
-      header =
-          "PRT transport: reliable delivery failed (retransmit limit "
-          "reached after " +
-          std::to_string(cfg_.max_retransmits) +
-          " attempts); tearing the run down.\n";
-    } else {
-      header = "PRT watchdog: no VDP fired for " +
-               std::to_string(cfg_.watchdog_seconds) +
-               "s; the VSA is deadlocked.\n";
-    }
-    throw RunError(header, std::move(report));
-  }
-
-  RunStats stats;
-  stats.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start)
-          .count();
-  stats.fires = fires_.load();
-  stats.remote_messages = total_remote_msgs_.load(std::memory_order_relaxed);
-  stats.remote_bytes = total_remote_bytes_.load(std::memory_order_relaxed);
-  stats.wire_offered = comm_->messages_offered();
-  stats.wire_messages = comm_->messages_sent();
-  stats.wire_bytes = comm_->bytes_sent();
-  stats.fault_streams = static_cast<long long>(comm_->fault_streams());
-  stats.coalesced_frames = total_coalesced_.load(std::memory_order_relaxed);
-  stats.aggregates_sent = total_aggregates_.load(std::memory_order_relaxed);
+Vsa::RunStats Vsa::node_stats(double seconds,
+                              const PacketPool::Stats& pool0) {
+  RunStats s;
+  s.seconds = seconds;
+  s.fires = fires_.load();
+  s.remote_messages = total_remote_msgs_.load(std::memory_order_relaxed);
+  s.remote_bytes = total_remote_bytes_.load(std::memory_order_relaxed);
+  s.wire_offered = comm_->messages_offered();
+  s.wire_messages = comm_->messages_sent();
+  s.wire_bytes = comm_->bytes_sent();
+  s.fault_streams = static_cast<long long>(comm_->fault_streams());
+  s.coalesced_frames = total_coalesced_.load(std::memory_order_relaxed);
+  s.aggregates_sent = total_aggregates_.load(std::memory_order_relaxed);
   const PacketPool::Stats pool1 = PacketPool::stats();
-  stats.pool_hits = pool1.hits - pool0.hits;
-  stats.pool_misses = pool1.misses - pool0.misses;
-  stats.faults = comm_->fault_counters();
-  stats.retransmits = total_retransmits_.load(std::memory_order_relaxed);
-  stats.duplicates_suppressed =
+  s.pool_hits = pool1.hits - pool0.hits;
+  s.pool_misses = pool1.misses - pool0.misses;
+  s.faults = comm_->fault_counters();
+  s.retransmits = total_retransmits_.load(std::memory_order_relaxed);
+  s.duplicates_suppressed =
       total_dups_suppressed_.load(std::memory_order_relaxed);
-  stats.acks_sent = total_acks_sent_.load(std::memory_order_relaxed);
-  for (auto& w : workers_) stats.busy_per_thread.push_back(w->busy);
-  for (auto& node : nodes_) {
-    stats.proxy_busy_per_node.push_back(node->proxy_busy);
-  }
-  for (Vdp* v : creation_order_) {
-    for (auto& ch : v->inputs_) stats.leftover_packets += ch->size();
-  }
-  for (int r = 0; r < cfg_.nodes; ++r) {
-    while (auto m = comm_->try_recv(r)) {
+  s.acks_sent = total_acks_sent_.load(std::memory_order_relaxed);
+  s.replayed_frames = total_replayed_.load(std::memory_order_relaxed);
+  s.busy_per_thread.assign(total_threads(), 0.0);
+  s.proxy_busy_per_node.assign(cfg_.nodes, 0.0);
+  for (Node* n : local_nodes_) {
+    for (Worker* w : n->workers) s.busy_per_thread[w->global_id] = w->busy;
+    s.proxy_busy_per_node[n->id] = n->proxy_busy;
+    while (auto m = comm_->try_recv(n->id)) {
       // Protocol frames lingering in a mailbox after a successful run
       // (late pure acks, retransmitted copies of already-delivered data)
       // are expected residue, not lost application packets.
-      if (!m->is_ack && m->seq < 0) ++stats.leftover_packets;
+      if (!m->is_ack && m->seq < 0) ++s.leftover_packets;
     }
   }
-  return stats;
+  for (Vdp* v : creation_order_) {
+    if (!nodes_[v->global_thread_ / cfg_.workers_per_node]->local) continue;
+    for (auto& ch : v->inputs_) s.leftover_packets += ch->size();
+  }
+  return s;
 }
 
 // ---- socket transport: one process per node ---------------------------------
@@ -1271,23 +1358,72 @@ Vsa::RunReport deserialize_report(const std::byte* p, std::size_t n) {
   return r;
 }
 
-std::string failure_header(const std::string& reason, const Vsa::Config& cfg) {
-  if (reason == "transport") {
-    return "PRT transport: reliable delivery failed (retransmit limit "
-           "reached after " +
-           std::to_string(cfg.max_retransmits) +
-           " attempts); tearing the run down.\n";
-  }
-  if (reason == "watchdog") {
-    return "PRT watchdog: no VDP fired for " +
-           std::to_string(cfg.watchdog_seconds) +
-           "s; the VSA is deadlocked.\n";
-  }
-  return "PRT socket transport: a node process exited without a report "
-         "(crash or abort in a forked node) and the respawn budget was "
-         "exhausted or recovery is off (Config::max_respawns); tearing the "
-         "run down.\n";
+/// Every RunStats counter a node set produces, listed once: the 'E'
+/// epilogue codec and the parent's merge both walk this list, pairing
+/// the fields of `a` and `b`. seconds (the parent times the whole run),
+/// respawns and refired_fires (the parent's recovery accounting) are not
+/// node counters and stay out.
+template <class A, class B, class F>
+void zip_counters(A& a, B& b, F&& f) {
+  f(a.fires, b.fires);
+  f(a.remote_messages, b.remote_messages);
+  f(a.remote_bytes, b.remote_bytes);
+  f(a.wire_offered, b.wire_offered);
+  f(a.wire_messages, b.wire_messages);
+  f(a.wire_bytes, b.wire_bytes);
+  f(a.fault_streams, b.fault_streams);
+  f(a.coalesced_frames, b.coalesced_frames);
+  f(a.aggregates_sent, b.aggregates_sent);
+  f(a.pool_hits, b.pool_hits);
+  f(a.pool_misses, b.pool_misses);
+  f(a.leftover_packets, b.leftover_packets);
+  f(a.busy_per_thread, b.busy_per_thread);
+  f(a.proxy_busy_per_node, b.proxy_busy_per_node);
+  f(a.faults.dropped, b.faults.dropped);
+  f(a.faults.duplicated, b.faults.duplicated);
+  f(a.faults.delayed, b.faults.delayed);
+  f(a.faults.reordered, b.faults.reordered);
+  f(a.retransmits, b.retransmits);
+  f(a.duplicates_suppressed, b.duplicates_suppressed);
+  f(a.acks_sent, b.acks_sent);
+  f(a.replayed_frames, b.replayed_frames);
 }
+
+void put(net::wire::Blob& b, long long v) { b.i64(v); }
+void put(net::wire::Blob& b, const std::vector<double>& v) {
+  b.u32(static_cast<std::uint32_t>(v.size()));
+  for (double x : v) b.f64(x);
+}
+void get(net::wire::BlobReader& br, long long& v) { v = br.i64(); }
+void get(net::wire::BlobReader& br, int& v) {
+  v = static_cast<int>(br.i64());
+}
+void get(net::wire::BlobReader& br, std::vector<double>& v) {
+  v.resize(br.u32());
+  for (double& x : v) x = br.f64();
+}
+void add(long long& a, long long b) { a += b; }
+void add(int& a, int b) { a += b; }
+void add(std::vector<double>& a, const std::vector<double>& b) {
+  require(a.size() == b.size(), "run: node stats span different arrays");
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
+}
+
+void encode_stats(net::wire::Blob& b, const Vsa::RunStats& s) {
+  zip_counters(s, s, [&](const auto& x, const auto&) { put(b, x); });
+}
+
+Vsa::RunStats decode_stats(net::wire::BlobReader& br) {
+  Vsa::RunStats s;
+  zip_counters(s, s, [&](auto& x, auto&) { get(br, x); });
+  return s;
+}
+
+/// Element-wise sum of one node set's stats into the whole run's.
+void merge_stats(Vsa::RunStats& into, const Vsa::RunStats& part) {
+  zip_counters(into, part, [](auto& x, const auto& y) { add(x, y); });
+}
+
 
 }  // namespace
 
@@ -1300,51 +1436,7 @@ void Vsa::child_main(int rank, std::vector<int> peer_fds, int control_fd,
   net::SocketComm* sock = sock_comm.get();
   sock_comm_ = sock;
   comm_ = std::move(sock_comm);
-  if (cfg_.fault_plan.any()) comm_->set_fault_plan(cfg_.fault_plan);
-  const PacketPool::Stats pool0 = PacketPool::stats();
-  recorder_ = std::make_unique<trace::Recorder>(total_threads(), cfg_.trace,
-                                                cfg_.nodes);
-  recorder_->start_clock();
 
-  Node& node = *nodes_[rank];
-  std::vector<Worker*> local;
-  for (auto& w : workers_) {
-    if (w->node_id == rank) local.push_back(w.get());
-  }
-  workers_running_.store(static_cast<int>(local.size()));
-  if (cfg_.work_stealing) {
-    // Seed only OUR node's VDPs as fire candidates; the rest of the graph
-    // belongs to sibling processes.
-    for (Vdp* v : creation_order_) {
-      if (v->global_thread_ / cfg_.workers_per_node == rank) node.enqueue(v);
-    }
-  }
-  for (Worker* w : local) {
-    w->thread = std::thread([this, w, &node] {
-      if (cfg_.work_stealing) {
-        worker_loop_stealing(*w, node);
-      } else {
-        worker_loop(*w);
-      }
-    });
-  }
-  if (node.has_remote || cfg_.max_respawns > 0) {
-    // With a respawn budget the proxy must exist even on a node with no
-    // remote channels today: a rejoining replacement may need its acks
-    // and replays served.
-    node.proxy = std::thread([this, &node] { proxy_loop(node); });
-  }
-
-  bool parent_cancel = false;
-  auto cancel_locally = [&] {
-    cancelled_.store(true, std::memory_order_release);
-    for (Worker* w : local) w->wake();
-    {
-      std::lock_guard<std::mutex> lock(node.pool_mu);
-      node.pool_cv.notify_all();
-    }
-    comm_->interrupt(rank);
-  };
   // Dispatch one pending control byte. Returns 0 when handled ('R'
   // rejoin, stray bytes), 1 on cancel ('C', EOF, parent death), 2 on 'G'.
   auto handle_ctl = [&]() -> int {
@@ -1386,28 +1478,16 @@ void Vsa::child_main(int rank, std::vector<int> peer_fds, int control_fd,
     const char h = 'H';
     (void)fd_send_all(control_fd, &h, 1);
   };
-  auto check_parent = [&] {
-    pollfd pfd{control_fd, POLLIN, 0};
-    if (::poll(&pfd, 1, 0) <= 0 ||
-        (pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-      return;
-    }
-    if (handle_ctl() == 1) {
-      parent_cancel = true;
-      cancel_locally();
-    }
-  };
 
-  // Per-process watchdog: local progress is a completed or in-flight
-  // firing OR any frame accepted off the wire — a node whose VDPs are all
-  // blocked on remote input is not deadlocked while its peers talk to it.
-  long long last_fires = -1;
+  NodeHooks hooks;
   long long last_rx = -1;
-  std::vector<std::uint64_t> last_hb(local.size(), 0);
-  auto last_progress = std::chrono::steady_clock::now();
-  while (workers_running_.load(std::memory_order_acquire) > 0) {
-    std::this_thread::sleep_for(1ms);
-    check_parent();
+  hooks.tick = [&] {
+    pollfd pfd{control_fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 0) > 0 &&
+        (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0 &&
+        handle_ctl() == 1) {
+      cancel();  // the parent called the run off
+    }
     send_heartbeat();
     if (incarnation == 0 && cfg_.fault_plan.kill() &&
         cfg_.fault_plan.kill_rank == rank &&
@@ -1418,83 +1498,47 @@ void Vsa::child_main(int rank, std::vector<int> peer_fds, int control_fd,
       // would never converge.
       ::kill(::getpid(), SIGKILL);
     }
-    bool progress = false;
-    const long long f = fires_.load(std::memory_order_relaxed);
-    if (f != last_fires) {
-      last_fires = f;
-      progress = true;
-    }
+    // A frame accepted off the wire is progress: a node whose VDPs all
+    // wait on remote input is not deadlocked while its peers talk to it.
     const long long rx = sock->frames_received();
-    if (rx != last_rx) {
-      last_rx = rx;
-      progress = true;
+    const bool progress = rx != last_rx;
+    last_rx = rx;
+    return progress;
+  };
+  bool ok = false;
+  hooks.settle = [&] {
+    // Local workers done. Keep the proxy alive (late acks, retransmits for
+    // peers still running) until the parent declares the whole run over.
+    ok = !cancelled_.load(std::memory_order_acquire);
+    if (ok) {
+      const char d = 'D';
+      ok = fd_send_all(control_fd, &d, 1);
     }
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      const std::uint64_t hb =
-          local[i]->fire_epoch.load(std::memory_order_relaxed);
-      if (hb != last_hb[i]) {
-        last_hb[i] = hb;
-        progress = true;
-      } else if ((hb & 1u) != 0) {
-        progress = true;
+    while (ok) {
+      if (cancelled_.load(std::memory_order_acquire)) {
+        // Transport failure surfaced while waiting (exhausted retransmits
+        // to a peer): downgrade to the failure path.
+        ok = false;
+        break;
       }
+      send_heartbeat();
+      pollfd pfd{control_fd, POLLIN, 0};
+      const int pn = ::poll(&pfd, 1, /*ms=*/10);
+      if (pn < 0 && errno != EINTR) {
+        ok = false;
+        break;
+      }
+      if (pn <= 0) continue;
+      const int verdict = handle_ctl();
+      if (verdict == 1) {
+        ok = false;
+        cancelled_.store(true, std::memory_order_release);
+        break;
+      }
+      if (verdict == 2) break;  // 'G': every node is done
     }
-    if (progress) {
-      last_progress = std::chrono::steady_clock::now();
-    } else if (cfg_.watchdog_seconds > 0 &&
-               std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             last_progress)
-                       .count() > cfg_.watchdog_seconds) {
-      cancel_locally();
-      break;
-    }
-  }
-
-  for (Worker* w : local) w->wake();
-  {
-    std::lock_guard<std::mutex> lock(node.pool_mu);
-    node.pool_cv.notify_all();
-  }
-  for (Worker* w : local) {
-    if (w->thread.joinable()) w->thread.join();
-  }
-
-  // Local workers done. Keep the proxy alive (late acks, retransmits for
-  // peers still running) until the parent declares the whole run over.
-  bool ok = !cancelled_.load(std::memory_order_acquire);
-  if (ok) {
-    const char d = 'D';
-    ok = fd_send_all(control_fd, &d, 1);
-  }
-  while (ok) {
-    if (cancelled_.load(std::memory_order_acquire)) {
-      // Transport failure surfaced while waiting (exhausted retransmits
-      // to a peer): downgrade to the failure path below.
-      ok = false;
-      break;
-    }
-    send_heartbeat();
-    pollfd pfd{control_fd, POLLIN, 0};
-    const int pn = ::poll(&pfd, 1, /*ms=*/10);
-    if (pn < 0 && errno != EINTR) {
-      ok = false;
-      parent_cancel = true;
-      break;
-    }
-    if (pn <= 0) continue;
-    const int verdict = handle_ctl();
-    if (verdict == 1) {
-      ok = false;
-      parent_cancel = true;
-      cancelled_.store(true, std::memory_order_release);
-      break;
-    }
-    if (verdict == 2) break;  // 'G': every node is done
-  }
-
-  done_.store(true, std::memory_order_release);
-  comm_->interrupt(rank);
-  if (node.proxy.joinable()) node.proxy.join();
+  };
+  const RunStats stats = run_nodes({rank}, hooks);
 
   if (!ok) {
     // Always ship the local report — even when the parent initiated the
@@ -1508,41 +1552,12 @@ void Vsa::child_main(int rank, std::vector<int> peer_fds, int control_fd,
     ::_exit(1);
   }
 
-  // Success epilogue: this node's stats contribution plus the
-  // application blob (collect hook) for the parent to merge.
+  // Success epilogue: this node's stats, the application blob (collect
+  // hook) for the parent to merge, which incarnation finished, and (when
+  // tracing) the local events with this process's clock epoch so the
+  // parent can offset-align them onto one timeline.
   net::wire::Blob b;
-  b.i64(fires_.load(std::memory_order_relaxed));
-  b.u32(static_cast<std::uint32_t>(local.size()));
-  for (Worker* w : local) b.f64(w->busy);
-  b.f64(node.proxy_busy);
-  b.i64(total_remote_msgs_.load(std::memory_order_relaxed));
-  b.i64(total_remote_bytes_.load(std::memory_order_relaxed));
-  b.i64(total_coalesced_.load(std::memory_order_relaxed));
-  b.i64(total_aggregates_.load(std::memory_order_relaxed));
-  b.i64(total_retransmits_.load(std::memory_order_relaxed));
-  b.i64(total_dups_suppressed_.load(std::memory_order_relaxed));
-  b.i64(total_acks_sent_.load(std::memory_order_relaxed));
-  b.i64(comm_->messages_offered());
-  b.i64(comm_->messages_sent());
-  b.i64(comm_->bytes_sent());
-  const net::FaultCounters fc = comm_->fault_counters();
-  b.i64(fc.dropped);
-  b.i64(fc.duplicated);
-  b.i64(fc.delayed);
-  b.i64(fc.reordered);
-  b.u64(comm_->fault_streams());
-  long long leftover = 0;
-  for (Vdp* v : creation_order_) {
-    if (v->global_thread_ / cfg_.workers_per_node != rank) continue;
-    for (auto& ch : v->inputs_) leftover += ch->size();
-  }
-  while (auto m = comm_->try_recv(rank)) {
-    if (!m->is_ack && m->seq < 0) ++leftover;
-  }
-  b.i64(leftover);
-  const PacketPool::Stats pool1 = PacketPool::stats();
-  b.i64(pool1.hits - pool0.hits);
-  b.i64(pool1.misses - pool0.misses);
+  encode_stats(b, stats);
   if (collect_hook_) {
     const Packet app = collect_hook_();
     b.u64(app.size());
@@ -1550,12 +1565,7 @@ void Vsa::child_main(int rank, std::vector<int> peer_fds, int control_fd,
   } else {
     b.u64(0);
   }
-  // Crash-recovery epilogue: which incarnation finished, how many frames
-  // this process replayed for rejoining peers, and (when tracing) the
-  // local events with this process's clock epoch so the parent can
-  // offset-align them onto one timeline.
   b.u32(incarnation);
-  b.i64(total_replayed_.load(std::memory_order_relaxed));
   b.i64(recorder_->epoch_ns());
   const std::vector<trace::Event> events =
       cfg_.trace ? recorder_->collect() : std::vector<trace::Event>{};
@@ -1899,31 +1909,8 @@ Vsa::RunStats Vsa::run_socket() {
   const std::int64_t parent_epoch_ns = recorder_->epoch_ns();
   for (int r = 0; r < N; ++r) {
     net::wire::BlobReader br(epilogue[r].data(), epilogue[r].size());
-    const long long child_fires = br.i64();
-    stats.fires += child_fires;
-    const std::uint32_t nw = br.u32();
-    for (std::uint32_t l = 0; l < nw; ++l) {
-      stats.busy_per_thread[r * cfg_.workers_per_node + l] = br.f64();
-    }
-    stats.proxy_busy_per_node[r] = br.f64();
-    stats.remote_messages += br.i64();
-    stats.remote_bytes += br.i64();
-    stats.coalesced_frames += br.i64();
-    stats.aggregates_sent += br.i64();
-    stats.retransmits += br.i64();
-    stats.duplicates_suppressed += br.i64();
-    stats.acks_sent += br.i64();
-    stats.wire_offered += br.i64();
-    stats.wire_messages += br.i64();
-    stats.wire_bytes += br.i64();
-    stats.faults.dropped += br.i64();
-    stats.faults.duplicated += br.i64();
-    stats.faults.delayed += br.i64();
-    stats.faults.reordered += br.i64();
-    stats.fault_streams += static_cast<long long>(br.u64());
-    stats.leftover_packets += static_cast<int>(br.i64());
-    stats.pool_hits += br.i64();
-    stats.pool_misses += br.i64();
+    const RunStats part = decode_stats(br);
+    merge_stats(stats, part);
     const std::uint64_t app_len = br.u64();
     Packet app;
     if (app_len > 0) {
@@ -1931,12 +1918,9 @@ Vsa::RunStats Vsa::run_socket() {
       std::memcpy(app.bytes(), br.take(app_len), app_len);
     }
     if (merge_hook_) merge_hook_(r, app);
-    // Crash-recovery tail of the epilogue: incarnation, replay work, and
-    // (when tracing) the child's events offset-aligned onto the parent's
-    // clock so the merged timeline is coherent across processes.
-    const std::uint32_t child_incarnation = br.u32();
-    if (child_incarnation > 0) stats.refired_fires += child_fires;
-    stats.replayed_frames += br.i64();
+    if (br.u32() > 0) stats.refired_fires += part.fires;  // a respawn
+    // The child's events, offset-aligned onto the parent's clock so the
+    // merged timeline is coherent across processes.
     const std::int64_t child_epoch_ns = br.i64();
     const double off =
         static_cast<double>(child_epoch_ns - parent_epoch_ns) * 1e-9;

@@ -10,6 +10,7 @@
 
 #include <any>
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -17,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "prt/packet_pool.hpp"
 #include "prt/trace.hpp"
 #include "prt/transport.hpp"
 #include "prt/vdp.hpp"
@@ -41,6 +43,8 @@ enum class Transport { InProcess, Socket };
 
 class Vsa {
  public:
+  /// Runtime options shared by every front-end: the algorithm drivers'
+  /// option structs derive from this and add only their own fields.
   struct Config {
     int nodes = 1;
     int workers_per_node = 2;
@@ -54,7 +58,7 @@ class Vsa {
     bool trace = false;
     /// Abort the run (with a stuck-VDP diagnostic) if no VDP fires for
     /// this long. 0 disables the watchdog.
-    double watchdog_seconds = 30.0;
+    double watchdog_seconds = 60.0;
     /// Microseconds an idle worker spins on its atomic wake flag before
     /// parking on the condition variable (adaptive spin-then-park). The
     /// spin keeps fine-grained small-nb pipelines out of the kernel; the
@@ -63,11 +67,6 @@ class Vsa {
     /// per worker, 0 when oversubscribed (spinning on a shared core only
     /// steals time from the worker holding the packet).
     int spin_us = -1;
-    /// Queue implementation behind every channel. The lock-free SPSC
-    /// default is legitimized by the GraphCheck-enforced one-producer-per-
-    /// input-slot invariant (the producer is either the source VDP's
-    /// serialized firings or the node proxy — never both).
-    ChannelImpl channel_impl = ChannelImpl::Spsc;
     /// Run prt::GraphCheck over the constructed graph at the top of
     /// run() and throw (before spawning any thread) if it finds an
     /// error-severity diagnostic — turning wiring and packet-balance bugs
@@ -130,6 +129,10 @@ class Vsa {
     /// parent control-plane read — a child hung before its first
     /// heartbeat can no longer stall the parent forever.
     double heartbeat_timeout_seconds = 10.0;
+
+    /// Throw Error naming the first field with an invalid value (Vsa's
+    /// constructor calls this; front-ends may call it before any work).
+    void validate() const;
   };
 
   struct RunStats {
@@ -307,6 +310,33 @@ class Vsa {
   void worker_loop_stealing(Worker& w, Node& n);
   void proxy_loop(Node& n);
   void fire(Vdp& v, Worker& w);
+  /// Transport-specific parts of run_nodes: the socket node process's
+  /// control plane. The in-process transport passes none.
+  struct NodeHooks {
+    /// Called after every watchdog tick (about 1 ms, and once more when
+    /// the workers finish); returns true on progress the firing counters
+    /// cannot see (frames arriving off the wire).
+    std::function<bool()> tick;
+    /// Called once the local workers have joined, while the proxies still
+    /// serve the wire (a node process's done/go handshake).
+    std::function<void()> settle;
+  };
+  /// The node loop shared by both transports: spawn the workers and
+  /// proxies of `ranks`, watch them to completion, shut them down and
+  /// return their RunStats (empty when the run was cancelled; the caller
+  /// reports that). The in-process run() passes every rank; a forked node
+  /// process passes its own.
+  RunStats run_nodes(const std::vector<int>& ranks,
+                     const NodeHooks& hooks = {});
+  /// RunStats of the nodes run_nodes ran (called after it joined them):
+  /// per-thread and per-node vectors span the whole array, zero outside
+  /// the node set, so node processes' stats merge element-wise.
+  RunStats node_stats(double seconds, const PacketPool::Stats& pool0);
+  /// Wake every worker, work-stealing pool and proxy of the running node
+  /// set so each re-checks cancelled_ / done_.
+  void wake_nodes();
+  /// Stop the running node set: mark the run cancelled and wake it.
+  void cancel();
   /// `only_node` >= 0 restricts the stuck-VDP census to that node — a
   /// forked node process reports only what it was responsible for.
   RunReport make_run_report(int only_node = -1) const;
@@ -321,7 +351,7 @@ class Vsa {
                                int control_fd, std::uint32_t incarnation,
                                std::vector<std::uint32_t> peer_epochs);
   /// First-failure path (called from a proxy): mark the run failed and
-  /// wake every worker and proxy so the shutdown join in run() completes.
+  /// cancel it, so the shutdown join in run_nodes() completes.
   void cancel_run_from_transport();
 
   Config cfg_;
@@ -357,8 +387,13 @@ class Vsa {
   std::vector<std::unique_ptr<Waker>> pool_wakers_;
   std::unique_ptr<net::Comm> comm_;
   std::unique_ptr<trace::Recorder> recorder_;
+  std::vector<Node*> local_nodes_;  ///< the node set run_nodes is running
   std::atomic<long long> fires_{0};
   std::atomic<int> workers_running_{0};
+  /// The last worker to finish signals loop_cv_, so the node loop's
+  /// watchdog wait ends at once instead of at its next tick.
+  std::mutex loop_mu_;
+  std::condition_variable loop_cv_;
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> done_{false};
   bool ran_ = false;

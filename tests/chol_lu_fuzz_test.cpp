@@ -78,5 +78,60 @@ TEST_P(LuFuzzParam, RandomConfigBitwiseMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(Fuzz, LuFuzzParam,
                          ::testing::Range<std::uint64_t>(1, 21));
 
+// Chol and LU take the whole prt::Vsa::Config, so the runtime fields the
+// QR front-end always had reach them too: coalescing off means no frame
+// travels inside an aggregate, and the park-immediately wakeup path runs.
+prt::Vsa::Config two_node_runtime(std::size_t coalesce_bytes) {
+  prt::Vsa::Config opt;
+  opt.nodes = 2;
+  opt.workers_per_node = 2;
+  opt.spin_us = 0;
+  opt.coalesce_bytes = coalesce_bytes;
+  opt.watchdog_seconds = 20.0;
+  return opt;
+}
+
+TEST(CholLuRuntime, CholHonoursSharedRuntimeFields) {
+  Matrix a = chol::random_spd(24, 5);
+  const TileMatrix ref = chol::tile_cholesky(TileMatrix::from_dense(a.view(), 4));
+  for (std::size_t coalesce : {std::size_t{0}, std::size_t{64 * 1024}}) {
+    SCOPED_TRACE(testing::Message() << "coalesce_bytes=" << coalesce);
+    const auto run = chol::vsa_cholesky(TileMatrix::from_dense(a.view(), 4),
+                                        two_node_runtime(coalesce));
+    ASSERT_GT(run.stats.remote_messages, 0);
+    if (coalesce == 0) {
+      EXPECT_EQ(run.stats.coalesced_frames, 0);
+      EXPECT_EQ(run.stats.aggregates_sent, 0);
+    } else {
+      EXPECT_GT(run.stats.aggregates_sent, 0);
+    }
+    EXPECT_EQ(run.stats.leftover_packets, 0);
+    for (int j = 0; j < 24; ++j) {
+      for (int i = j; i < 24; ++i) ASSERT_EQ(run.l.at(i, j), ref.at(i, j));
+    }
+  }
+}
+
+TEST(CholLuRuntime, LuHonoursSharedRuntimeFields) {
+  Matrix a = lu::random_diag_dominant(24, 24, 6);
+  const TileMatrix ref = lu::tile_lu(TileMatrix::from_dense(a.view(), 4));
+  for (std::size_t coalesce : {std::size_t{0}, std::size_t{64 * 1024}}) {
+    SCOPED_TRACE(testing::Message() << "coalesce_bytes=" << coalesce);
+    const auto run = lu::vsa_lu(TileMatrix::from_dense(a.view(), 4),
+                                two_node_runtime(coalesce));
+    ASSERT_GT(run.stats.remote_messages, 0);
+    if (coalesce == 0) {
+      EXPECT_EQ(run.stats.coalesced_frames, 0);
+      EXPECT_EQ(run.stats.aggregates_sent, 0);
+    } else {
+      EXPECT_GT(run.stats.aggregates_sent, 0);
+    }
+    EXPECT_EQ(run.stats.leftover_packets, 0);
+    for (int j = 0; j < 24; ++j) {
+      for (int i = 0; i < 24; ++i) ASSERT_EQ(run.f.at(i, j), ref.at(i, j));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pulsarqr

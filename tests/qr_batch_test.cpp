@@ -179,5 +179,28 @@ TEST(QrBatch, RejectsMismatchedSpansAndSmallTFactors) {
                Error);
 }
 
+// The batch options carry the whole runtime Config, transport included,
+// but the factors are written in place: a forked node process could not
+// hand them back, so Socket is refused by name before anything runs.
+TEST(QrBatch, RejectsTheSocketTransport) {
+  Matrix a(8, 4), t(4, 4);
+  fill_random(a.view(), 8);
+  const Matrix before = a;
+  const MatrixView av[] = {a.view()};
+  const MatrixView tv[] = {t.view()};
+  vsaqr::BatchOptions opt;
+  opt.ib = 4;
+  opt.transport = prt::Transport::Socket;
+  try {
+    vsaqr::qr_batch(std::span<const MatrixView>(av),
+                    std::span<const MatrixView>(tv), opt);
+    FAIL() << "expected qr_batch to reject Transport::Socket";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("transport"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(std::memcmp(a.data(), before.data(), sizeof(double) * 8 * 4), 0);
+}
+
 }  // namespace
 }  // namespace pulsarqr

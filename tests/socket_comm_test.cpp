@@ -239,6 +239,40 @@ TEST(SocketVsaTest, FactorizationMatchesTheReferenceBitwise) {
   }
 }
 
+// Both transports run one node loop and one stats path: the same
+// factorization reports the same counters whether its nodes are thread
+// groups or forked processes, and the same bits.
+TEST(SocketVsaTest, TransportParityOfStatsAndFactors) {
+  Matrix a0(40, 10);
+  fill_random(a0.view(), 23);
+  auto opt = socket_qr_options(2, 2);
+  opt.coalesce_bytes = 0;  // one wire message per application frame
+  opt.reliable_transport = false;
+  opt.transport = prt::Transport::InProcess;
+  const auto inproc = vsaqr::tree_qr(TileMatrix::from_dense(a0.view(), 5), opt);
+  opt.transport = prt::Transport::Socket;
+  const auto socket = vsaqr::tree_qr(TileMatrix::from_dense(a0.view(), 5), opt);
+  EXPECT_GT(inproc.stats.fires, 0);
+  EXPECT_GT(inproc.stats.remote_messages, 0);
+  EXPECT_EQ(inproc.stats.fires, socket.stats.fires);
+  EXPECT_EQ(inproc.stats.remote_messages, socket.stats.remote_messages);
+  EXPECT_EQ(inproc.stats.remote_bytes, socket.stats.remote_bytes);
+  for (const auto* run : {&inproc, &socket}) {
+    const prt::Vsa::RunStats& s = run->stats;
+    EXPECT_EQ(s.wire_messages, s.remote_messages);
+    EXPECT_EQ(s.leftover_packets, 0);
+    ASSERT_EQ(s.busy_per_thread.size(), 4u);
+    for (double busy : s.busy_per_thread) EXPECT_GT(busy, 0.0);
+    EXPECT_EQ(s.proxy_busy_per_node.size(), 2u);
+  }
+  for (int j = 0; j < inproc.factors.a.cols(); ++j) {
+    for (int i = 0; i < inproc.factors.a.rows(); ++i) {
+      ASSERT_EQ(inproc.factors.a.at(i, j), socket.factors.a.at(i, j))
+          << "factors differ at (" << i << "," << j << ")";
+    }
+  }
+}
+
 TEST(SocketVsaTest, ThreeNodesWithReliableProtocolStayCorrect) {
   Matrix a0(48, 12);
   fill_random(a0.view(), 18);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -340,11 +341,10 @@ TEST(Vsa, WatchdogToleratesOneLongFiring) {
   EXPECT_EQ(collector->values.size(), 1u);
 }
 
-// The legacy mutex channels and the park-immediately wakeup path stay
-// exercised through the Config knobs.
-TEST(VsaPipeline, MutexChannelsAndImmediatePark) {
+// The park-immediately wakeup path stays exercised through the Config
+// knob.
+TEST(VsaPipeline, ImmediatePark) {
   Vsa::Config c = cfg(2, 2);
-  c.channel_impl = ChannelImpl::Mutex;
   c.spin_us = 0;
   Vsa vsa(c);
   auto collector = std::make_shared<Collector>();
@@ -357,6 +357,103 @@ TEST(VsaPipeline, MutexChannelsAndImmediatePark) {
   }
   EXPECT_EQ(stats.fires, 6 * 12);
   EXPECT_EQ(stats.leftover_packets, 0);
+}
+
+// Every constrained Config field is checked when the Vsa is built,
+// before any thread or process exists, by an Error that names the field.
+// (A non-positive retransmit timeout used to be thrown from inside a
+// proxy thread, which terminated the process.)
+struct BadConfig {
+  const char* name;
+  void (*spoil)(Vsa::Config&);
+  const char* field;
+};
+
+class ConfigValidation : public ::testing::TestWithParam<BadConfig> {};
+
+TEST_P(ConfigValidation, ThrowsNamingTheField) {
+  Vsa::Config c = cfg(2, 2);
+  c.reliable_transport = true;
+  GetParam().spoil(c);
+  try {
+    Vsa vsa(c);
+    FAIL() << "expected Vsa::Config validation to throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(GetParam().field), std::string::npos)
+        << e.what();
+  }
+}
+
+const BadConfig kBadConfigs[] = {
+    {"NoNodes", [](Vsa::Config& c) { c.nodes = 0; }, "nodes"},
+    {"NoWorkers", [](Vsa::Config& c) { c.workers_per_node = 0; },
+     "workers_per_node"},
+    {"ZeroRto", [](Vsa::Config& c) { c.retransmit_timeout_us = 0; },
+     "retransmit_timeout_us"},
+    {"NegativeRto", [](Vsa::Config& c) { c.retransmit_timeout_us = -5; },
+     "retransmit_timeout_us"},
+    {"NegativeMaxRetransmits", [](Vsa::Config& c) { c.max_retransmits = -1; },
+     "max_retransmits"},
+    {"NegativeMaxRespawns", [](Vsa::Config& c) { c.max_respawns = -1; },
+     "max_respawns"},
+    {"NegativeFlush", [](Vsa::Config& c) { c.coalesce_flush_us = -1; },
+     "coalesce_flush_us"},
+    {"NegativeDelayUs", [](Vsa::Config& c) { c.fault_plan.delay_us = -1; },
+     "fault_plan.delay_us"},
+    {"NegativeWatchdog", [](Vsa::Config& c) { c.watchdog_seconds = -1.0; },
+     "watchdog_seconds"},
+    {"NanWatchdog",
+     [](Vsa::Config& c) {
+       c.watchdog_seconds = std::numeric_limits<double>::quiet_NaN();
+     },
+     "watchdog_seconds"},
+    {"NegativeHeartbeat",
+     [](Vsa::Config& c) { c.heartbeat_timeout_seconds = -0.5; },
+     "heartbeat_timeout_seconds"},
+    {"DropAboveOne", [](Vsa::Config& c) { c.fault_plan.drop = 1.5; },
+     "fault_plan.drop"},
+    {"NegativeDup", [](Vsa::Config& c) { c.fault_plan.dup = -0.1; },
+     "fault_plan.dup"},
+    {"DelayAboveOne", [](Vsa::Config& c) { c.fault_plan.delay = 2.0; },
+     "fault_plan.delay"},
+    {"NanReorder",
+     [](Vsa::Config& c) {
+       c.fault_plan.reorder = std::numeric_limits<double>::quiet_NaN();
+     },
+     "fault_plan.reorder"},
+    {"RespawnsInProcess", [](Vsa::Config& c) { c.max_respawns = 1; },
+     "max_respawns"},
+    {"RespawnsWithoutReliable",
+     [](Vsa::Config& c) {
+       c.transport = Transport::Socket;
+       c.reliable_transport = false;
+       c.max_respawns = 1;
+     },
+     "reliable_transport"},
+    {"KillInProcess", [](Vsa::Config& c) { c.fault_plan.kill_rank = 0; },
+     "fault_plan.kill_rank"},
+    {"KillRankOutOfRange",
+     [](Vsa::Config& c) {
+       c.transport = Transport::Socket;
+       c.fault_plan.kill_rank = 2;
+     },
+     "fault_plan.kill_rank"},
+};
+
+INSTANTIATE_TEST_SUITE_P(BadValues, ConfigValidation,
+                         ::testing::ValuesIn(kBadConfigs),
+                         [](const auto& info) { return info.param.name; });
+
+TEST(Vsa, DefaultConfigIsValid) {
+  EXPECT_NO_THROW(Vsa::Config{}.validate());
+  Vsa::Config c = cfg(2, 2);
+  c.transport = Transport::Socket;
+  c.reliable_transport = true;
+  c.max_respawns = 1;
+  c.fault_plan.kill_rank = 1;
+  c.fault_plan.drop = 1.0;
+  c.watchdog_seconds = 0.0;  // 0 disables the watchdog
+  EXPECT_NO_THROW(c.validate());
 }
 
 TEST(Vsa, RejectsBadWiring) {

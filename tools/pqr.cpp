@@ -1,42 +1,49 @@
 // pqr — command-line driver for the pulsarqr library.
 //
 //   pqr factor   --m 4096 --n 512 [--nb 128 --ib 32 --tree hier --h 6
-//                 --boundary shifted --nodes 2 --workers 2 --sched lazy
-//                 --trace trace.csv --check --seed 1 --graph-check 0
-//                 --channel spsc|mutex --spin-us -1|0|50 --gemm packed|ref
+//                 --boundary shifted --trace trace.csv --check --seed 1
+//                 RUNTIME]
+//   pqr solve    --m 4096 --n 512 [--nrhs 1 ... same as factor]
+//   pqr chol     --n 1024 [--nb 128 --seed 1 RUNTIME]
+//   pqr lu       --n 1024 [--nb 128 --seed 1 RUNTIME]
+//   pqr batch    --batch 1024 --m 64 --n 16 [--ib 32 --chunk 0 --f32
+//                 --seed 1 --check RUNTIME]
+//   pqr simulate --m 368640 --n 4608 [--nb 192 --ib 48 --tree hier --h 6
+//                 --nodes 768 --algo qr|chol|lu]
+//
+// RUNTIME is the one set of prt::Vsa::Config flags every runtime command
+// reads (runtime_options below):
+//                 --nodes 1 --workers 2 --sched lazy|aggressive
+//                 --graph-check 1 --spin-us -1|0|50
+//                 --transport inproc|socket
 //                 --chaos-seed 42 --drop 0.05 --dup 0.05 --reorder 0.1
 //                 --delay 0.1 --delay-us 200 --reliable
 //                 --rto-us 2000 --max-retransmits 10
-//                 --coalesce-bytes 65536 --flush-us 50 --no-packet-pool
-//                 --transport inproc|socket
+//                 --coalesce-bytes 65536 --flush-us 50
 //                 --max-respawns 0 --replay-log-mb 64 --hb-timeout 10
 //                 --kill-node -1 --kill-after 0
-//                 --kernel-isa auto|avx512|avx2|neon|scalar]
+// and every command also takes --kernel-isa auto|avx512|avx2|neon|scalar
+// and --no-packet-pool.
 //
 // The chaos flags install a deterministic FaultPlan on the inter-node
 // transport (same seed => same fault schedule); --reliable layers the
 // ack/retransmit protocol on top so the run still completes correctly.
 // Under --transport socket, --kill-node R --kill-after F SIGKILLs rank R's
 // node process after F firings and --max-respawns N lets the run absorb up
-// to N such deaths by respawning (requires --reliable).
-//   pqr batch    --batch 1024 --m 64 --n 16 [--ib 32 --nodes 1 --workers 2
-//                 --chunk 0 --f32 --seed 1 --check --graph-check 0
-//                 --kernel-isa ...]
+// to N such deaths by respawning (requires --reliable). `batch` runs
+// in-process only.
 //
 // `batch` factors N independent small matrices through ONE fused VSA plan
 // (see src/vsaqr/qr_batch.hpp) and reports jobs/sec plus per-matrix latency
 // percentiles; --check verifies each result is bitwise identical to a
 // sequential geqrt loop.
-//   pqr solve    --m 4096 --n 512 [--nrhs 1 ...]
-//   pqr chol     --n 1024 [--nb 128 --nodes 2 --workers 2
-//                 --transport inproc|socket --reliable ...]
-//   pqr lu       --n 1024 [--nb 128 --nodes 2 --workers 2
-//                 --transport inproc|socket --reliable ...]
-//   pqr simulate --m 368640 --n 4608 [--nb 192 --ib 48 --tree hier --h 6
-//                 --nodes 768]
 //
-// `factor`, `solve`, `chol` and `lu` run the real PULSAR runtime on this
-// host; `simulate` replays a task graph on the Kraken machine model.
+// `factor`, `solve`, `chol`, `lu` and `batch` run the real PULSAR runtime
+// on this host; `simulate` replays a task graph on the Kraken machine
+// model. Every command exits 2, naming the flag, on a flag it does not
+// read or a value it does not accept (a malformed number, an unknown
+// choice, a size below 1, a runtime value prt::Vsa::Config rejects),
+// before doing any work.
 
 // GCC 12's -Wrestrict emits a known false positive on inlined std::string
 // copies under -O3 (GCC PR105651); the flag-map code trips it.
@@ -45,10 +52,13 @@
 #endif
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <limits>
 #include <map>
 #include <set>
 #include <span>
@@ -85,20 +95,56 @@ struct Args {
     read.insert(k);
     return kv.count(k) > 0;
   }
-  int geti(const std::string& k, int dflt) const {
-    read.insert(k);
-    auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::atoi(it->second.c_str());
-  }
   std::string gets(const std::string& k, const std::string& dflt) const {
     read.insert(k);
     auto it = kv.find(k);
     return it == kv.end() ? dflt : it->second;
   }
+  /// An integer flag of at least `min`.
+  int geti(const std::string& k, int dflt,
+           int min = std::numeric_limits<int>::min()) const {
+    if (!has(k)) return dflt;
+    const std::string& v = kv.at(k);
+    char* end = nullptr;
+    errno = 0;
+    const long x = std::strtol(v.c_str(), &end, 10);
+    if (v.empty() || *end != '\0' || errno != 0 ||
+        x < std::numeric_limits<int>::min() ||
+        x > std::numeric_limits<int>::max()) {
+      bad_value(k, "expected an integer");
+    }
+    if (x < min) bad_value(k, "must be >= " + std::to_string(min));
+    return static_cast<int>(x);
+  }
+  /// A size or count flag: an integer >= 1.
+  int getpos(const std::string& k, int dflt) const { return geti(k, dflt, 1); }
   double getd(const std::string& k, double dflt) const {
-    read.insert(k);
+    if (!has(k)) return dflt;
+    const std::string& v = kv.at(k);
+    char* end = nullptr;
+    const double x = std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0') bad_value(k, "expected a number");
+    return x;
+  }
+  /// An enumerated flag: its value must be one of `accepted`.
+  std::string choice(const std::string& k, const std::string& dflt,
+                     std::initializer_list<const char*> accepted) const {
+    const std::string v = gets(k, dflt);
+    std::string list;
+    for (const char* c : accepted) {
+      if (v == c) return v;
+      list += list.empty() ? c : std::string("|") + c;
+    }
+    bad_value(k, "expected " + list);
+  }
+
+  [[noreturn]] void bad_value(const std::string& k,
+                              const std::string& why) const {
     auto it = kv.find(k);
-    return it == kv.end() ? dflt : std::atof(it->second.c_str());
+    std::fprintf(stderr, "bad value for pqr %s --%s: '%s' (%s)\n",
+                 command.c_str(), k.c_str(),
+                 it == kv.end() ? "" : it->second.c_str(), why.c_str());
+    std::exit(2);
   }
 
   /// Exit with status 2, naming every such flag, if the command line
@@ -137,39 +183,39 @@ Args parse(int argc, char** argv, int first) {
 
 plan::PlanConfig tree_config(const Args& a) {
   plan::PlanConfig cfg;
-  const std::string tree = a.gets("tree", "hier");
+  const std::string tree =
+      a.choice("tree", "hier", {"flat", "binary", "hier", "binary-on-flat"});
   if (tree == "flat") {
     cfg.tree = plan::TreeKind::Flat;
   } else if (tree == "binary") {
     cfg.tree = plan::TreeKind::Binary;
-  } else if (tree == "hier" || tree == "binary-on-flat") {
-    cfg.tree = plan::TreeKind::BinaryOnFlat;
   } else {
-    std::fprintf(stderr, "unknown --tree %s (flat|binary|hier)\n",
-                 tree.c_str());
-    std::exit(2);
+    cfg.tree = plan::TreeKind::BinaryOnFlat;
   }
   cfg.domain_size = a.geti("h", 6);
-  const std::string bm = a.gets("boundary", "shifted");
-  cfg.boundary = bm == "fixed" ? plan::BoundaryMode::Fixed
-                               : plan::BoundaryMode::Shifted;
+  cfg.boundary = a.choice("boundary", "shifted", {"shifted", "fixed"}) ==
+                         "fixed"
+                     ? plan::BoundaryMode::Fixed
+                     : plan::BoundaryMode::Shifted;
   return cfg;
 }
 
-/// Transport / chaos / reliability / crash-recovery flags, shared by the
-/// factor, solve, chol and lu commands (their option structs carry
-/// identically-named fields).
-template <class Opt>
-void transport_options(Opt& opt, const Args& a) {
+/// The runtime flags every runtime command shares: one flag per
+/// prt::Vsa::Config field (factor reads --trace itself, as it also names
+/// the output file). Exits 2 on a value the Config rejects.
+void runtime_options(prt::Vsa::Config& opt, const Args& a) {
+  opt.nodes = a.getpos("nodes", opt.nodes);
+  opt.workers_per_node = a.getpos("workers", opt.workers_per_node);
+  opt.scheduling = a.choice("sched", "lazy", {"lazy", "aggressive"}) ==
+                           "aggressive"
+                       ? prt::Scheduling::Aggressive
+                       : prt::Scheduling::Lazy;
+  opt.graph_check = a.geti("graph-check", 1) != 0;
+  opt.spin_us = a.geti("spin-us", opt.spin_us);
   // Transport backend: in-process mailbox threads (default) or one forked
   // OS process per node over Unix-domain sockets.
-  const std::string transport = a.gets("transport", "inproc");
-  if (transport == "socket") {
+  if (a.choice("transport", "inproc", {"inproc", "socket"}) == "socket") {
     opt.transport = prt::Transport::Socket;
-  } else if (transport != "inproc") {
-    std::fprintf(stderr, "unknown --transport %s (inproc|socket)\n",
-                 transport.c_str());
-    std::exit(2);
   }
   // Chaos engineering: a seeded deterministic fault schedule plus the
   // reliable-delivery protocol that tolerates it.
@@ -186,12 +232,23 @@ void transport_options(Opt& opt, const Args& a) {
   opt.retransmit_timeout_us = a.geti("rto-us", opt.retransmit_timeout_us);
   opt.max_retransmits = a.geti("max-retransmits", opt.max_retransmits);
   opt.max_respawns = a.geti("max-respawns", opt.max_respawns);
-  opt.replay_log_bytes = static_cast<std::size_t>(a.geti(
-                             "replay-log-mb",
-                             static_cast<int>(opt.replay_log_bytes >> 20)))
-                         << 20;
+  opt.replay_log_bytes =
+      static_cast<std::size_t>(a.geti(
+          "replay-log-mb", static_cast<int>(opt.replay_log_bytes >> 20), 0))
+      << 20;
   opt.heartbeat_timeout_seconds =
       a.getd("hb-timeout", opt.heartbeat_timeout_seconds);
+  // Egress coalescing (--coalesce-bytes 0 turns it off).
+  opt.coalesce_bytes = static_cast<std::size_t>(
+      a.geti("coalesce-bytes", static_cast<int>(opt.coalesce_bytes), 0));
+  opt.coalesce_flush_us = a.geti("flush-us", opt.coalesce_flush_us);
+  try {
+    opt.validate();
+  } catch (const Error& e) {
+    std::fprintf(stderr, "bad runtime flag value for pqr %s: %s\n",
+                 a.command.c_str(), e.what());
+    std::exit(2);
+  }
   if (opt.fault_plan.any() && !opt.reliable_transport) {
     std::fprintf(stderr,
                  "warning: fault injection without --reliable; expect a "
@@ -211,30 +268,16 @@ void print_recovery(const prt::Vsa::RunStats& stats, int max_respawns) {
 vsaqr::TreeQrOptions qr_options(const Args& a) {
   vsaqr::TreeQrOptions opt;
   opt.tree = tree_config(a);
-  opt.ib = a.geti("ib", 32);
-  opt.nodes = a.geti("nodes", 1);
-  opt.workers_per_node = a.geti("workers", 2);
-  opt.scheduling = a.gets("sched", "lazy") == "aggressive"
-                       ? prt::Scheduling::Aggressive
-                       : prt::Scheduling::Lazy;
+  opt.ib = a.getpos("ib", 32);
   opt.trace = a.has("trace");
-  opt.graph_check = a.geti("graph-check", 1) != 0;
-  opt.channel_impl = a.gets("channel", "spsc") == "mutex"
-                         ? prt::ChannelImpl::Mutex
-                         : prt::ChannelImpl::Spsc;
-  opt.spin_us = a.geti("spin-us", opt.spin_us);
-  transport_options(opt, a);
-  // Egress coalescing (--coalesce-bytes 0 turns it off).
-  opt.coalesce_bytes = static_cast<std::size_t>(
-      a.geti("coalesce-bytes", static_cast<int>(opt.coalesce_bytes)));
-  opt.coalesce_flush_us = a.geti("flush-us", opt.coalesce_flush_us);
+  runtime_options(opt, a);
   return opt;
 }
 
 int cmd_factor(const Args& a) {
-  const int m = a.geti("m", 4096);
-  const int n = a.geti("n", 512);
-  const int nb = a.geti("nb", 128);
+  const int m = a.getpos("m", 4096);
+  const int n = a.getpos("n", 512);
+  const int nb = a.getpos("nb", 128);
   const int seed = a.geti("seed", 1);
   auto opt = qr_options(a);
   const std::string trace_file =
@@ -303,21 +346,15 @@ double pct_us(const std::vector<double>& sorted, int p) {
 
 template <class T>
 int run_batch(const Args& a, const char* prec) {
-  const int batch = a.geti("batch", 1024);
-  const int m = a.geti("m", 64);
-  const int n = a.geti("n", 16);
+  const int batch = a.getpos("batch", 1024);
+  const int m = a.getpos("m", 64);
+  const int n = a.getpos("n", 16);
   const int k = std::min(m, n);
-  if (batch < 1 || k < 1) {
-    std::fprintf(stderr, "batch: need --batch >= 1 and --m, --n >= 1\n");
-    return 2;
-  }
   vsaqr::BatchOptions opt;
-  opt.ib = a.geti("ib", 32);
-  opt.nodes = a.geti("nodes", 1);
-  opt.workers_per_node = a.geti("workers", 2);
-  opt.chunk = a.geti("chunk", 0);
-  opt.graph_check = a.geti("graph-check", 1) != 0;
+  opt.ib = a.getpos("ib", 32);
+  opt.chunk = a.geti("chunk", 0, 0);
   opt.record_latency = true;
+  runtime_options(opt, a);
   const int seed = a.geti("seed", 1);
   const bool check = a.has("check");
   a.reject_unread();
@@ -383,10 +420,10 @@ int cmd_batch(const Args& a) {
 }
 
 int cmd_solve(const Args& a) {
-  const int m = a.geti("m", 4096);
-  const int n = a.geti("n", 512);
-  const int nb = a.geti("nb", 128);
-  const int nrhs = a.geti("nrhs", 1);
+  const int m = a.getpos("m", 4096);
+  const int n = a.getpos("n", 512);
+  const int nb = a.getpos("nb", 128);
+  const int nrhs = a.getpos("nrhs", 1);
   const int seed = a.geti("seed", 1);
   const auto opt = qr_options(a);
   a.reject_unread();
@@ -414,14 +451,11 @@ int cmd_solve(const Args& a) {
 }
 
 int cmd_chol(const Args& a) {
-  const int n = a.geti("n", 1024);
-  const int nb = a.geti("nb", 128);
+  const int n = a.getpos("n", 1024);
+  const int nb = a.getpos("nb", 128);
   const int seed = a.geti("seed", 1);
   chol::VsaCholOptions opt;
-  opt.nodes = a.geti("nodes", 1);
-  opt.workers_per_node = a.geti("workers", 2);
-  opt.graph_check = a.geti("graph-check", 1) != 0;
-  transport_options(opt, a);
+  runtime_options(opt, a);
   a.reject_unread();
   Matrix spd = chol::random_spd(n, seed);
   auto run = chol::vsa_cholesky(TileMatrix::from_dense(spd.view(), nb), opt);
@@ -444,14 +478,11 @@ int cmd_chol(const Args& a) {
 }
 
 int cmd_lu(const Args& a) {
-  const int n = a.geti("n", 1024);
-  const int nb = a.geti("nb", 128);
+  const int n = a.getpos("n", 1024);
+  const int nb = a.getpos("nb", 128);
   const int seed = a.geti("seed", 1);
   lu::VsaLuOptions opt;
-  opt.nodes = a.geti("nodes", 1);
-  opt.workers_per_node = a.geti("workers", 2);
-  opt.graph_check = a.geti("graph-check", 1) != 0;
-  transport_options(opt, a);
+  runtime_options(opt, a);
   a.reject_unread();
   Matrix m = lu::random_diag_dominant(n, n, seed);
   auto run = lu::vsa_lu(TileMatrix::from_dense(m.view(), nb), opt);
@@ -472,18 +503,14 @@ int cmd_lu(const Args& a) {
 }
 
 int cmd_simulate(const Args& a) {
-  const int m = a.geti("m", 368640);
-  const int n = a.geti("n", 4608);
-  const int nb = a.geti("nb", 192);
-  const int nodes = a.geti("nodes", 768);
-  const std::string algo = a.gets("algo", "qr");
+  const int m = a.getpos("m", 368640);
+  const int n = a.getpos("n", 4608);
+  const int nb = a.getpos("nb", 192);
+  const int nodes = a.getpos("nodes", 768);
+  const std::string algo = a.choice("algo", "qr", {"qr", "chol", "lu"});
   const sim::MachineModel mm = sim::MachineModel::kraken();
-  if (algo != "qr" && algo != "chol" && algo != "lu") {
-    std::fprintf(stderr, "unknown --algo %s (qr|chol|lu)\n", algo.c_str());
-    return 2;
-  }
   // ib and the tree shape only exist for the QR plan.
-  const int ib = algo == "qr" ? a.geti("ib", 48) : 0;
+  const int ib = algo == "qr" ? a.getpos("ib", 48) : 0;
   const plan::PlanConfig cfg =
       algo == "qr" ? tree_config(a) : plan::PlanConfig{};
   a.reject_unread();
@@ -526,17 +553,6 @@ int main(int argc, char** argv) {
   // the equivalent std::string comparisons under -O3).
   const char* cmd = argv[1];
   const Args a = parse(argc, argv, 2);
-  // Process-wide compute-kernel A/B switch, the analogue of --channel for
-  // the runtime: every command funnels its flops through blas::gemm.
-  const std::string gemm = a.gets("gemm", "packed");
-  if (gemm == "ref") {
-    blas::set_gemm_impl(blas::GemmImpl::Ref);
-  } else if (gemm == "packed") {
-    blas::set_gemm_impl(blas::GemmImpl::Packed);
-  } else {
-    std::fprintf(stderr, "unknown --gemm %s (packed|ref)\n", gemm.c_str());
-    return 2;
-  }
   // Kernel ISA selection. Unlike the PQR_KERNEL_ISA env override (which
   // warns and falls back), the CLI rejects bad or unsupported values.
   const std::string isa_arg = a.gets("kernel-isa", "");
