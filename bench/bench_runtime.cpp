@@ -4,10 +4,11 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <memory>
+#include <new>
 #include <thread>
 
 #include "common/rng.hpp"
-#include "prt/packet_pool.hpp"
 #include "prt/vsa.hpp"
 #include "vsaqr/tree_qr.hpp"
 
@@ -65,17 +66,15 @@ void BM_channel_ping(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * packets);
 }
 
-// Inter-node ping through the proxy path: a 3-way A/B matrix of egress
-// frame coalescing (on/off), the ack/retransmit reliable-delivery
-// protocol (off must show no measurable overhead: the sequencing
-// machinery is not even instantiated then), and the packet pool.
+// Inter-node ping through the proxy path: an A/B matrix of egress frame
+// coalescing (on/off) and the ack/retransmit reliable-delivery protocol
+// (off must show no measurable overhead: the sequencing machinery is not
+// even instantiated then).
 void BM_channel_ping_internode(benchmark::State& state) {
   const int length = 8;
   const int packets = 256;
   const bool coalesce = state.range(0) == 1;
   const bool reliable = state.range(1) == 1;
-  const bool pool = state.range(2) == 1;
-  prt::PacketPool::set_enabled(pool);
   for (auto _ : state) {
     state.PauseTiming();
     Vsa::Config cfg;
@@ -108,9 +107,7 @@ void BM_channel_ping_internode(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * length * packets);
   state.SetLabel(std::string(coalesce ? "coalesce-on" : "coalesce-off") +
-                 (reliable ? "/reliable-on" : "/reliable-off") +
-                 (pool ? "/pool-on" : "/pool-off"));
-  prt::PacketPool::set_enabled(true);
+                 (reliable ? "/reliable-on" : "/reliable-off"));
 }
 
 // The same inter-node ping over the out-of-process Socket backend: one
@@ -173,19 +170,27 @@ void BM_qr_small_nb(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-// Pooled vs plain allocation: the recycled steady state against a fresh
-// aligned heap allocation per packet.
+// Packet allocation in the pool's recycled steady state.
 void BM_packet_alloc(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-  const bool pool = state.range(1) == 1;
-  prt::PacketPool::set_enabled(pool);
   for (auto _ : state) {
     Packet p = Packet::make(bytes);
     benchmark::DoNotOptimize(p.bytes());
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(pool ? "pool-on" : "pool-off");
-  prt::PacketPool::set_enabled(true);
+}
+
+// Heap baseline for BM_packet_alloc: the 64-byte-aligned buffer and
+// shared owner a Packet would hold, straight from the allocator.
+void BM_heap_alloc(benchmark::State& state) {
+  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    std::shared_ptr<std::byte[]> p(
+        static_cast<std::byte*>(::operator new[](bytes, std::align_val_t(64))),
+        [](std::byte* q) { ::operator delete[](q, std::align_val_t(64)); });
+    benchmark::DoNotOptimize(p.get());
+  }
+  state.SetItemsProcessed(state.iterations());
 }
 
 void BM_packet_clone(benchmark::State& state) {
@@ -278,16 +283,14 @@ void BM_bypass_chain(benchmark::State& state) {
 BENCHMARK(BM_channel_push_pop);
 BENCHMARK(BM_channel_ping)->UseRealTime();
 BENCHMARK(BM_channel_ping_internode)
-    ->Args({1, 0, 1})->Args({0, 0, 1})  // coalesce A/B, reliable off
-    ->Args({1, 1, 1})->Args({0, 1, 1})  // coalesce A/B, reliable on
-    ->Args({1, 0, 0})->Args({0, 0, 0})  // pool off, coalesce A/B
+    ->Args({1, 0})->Args({0, 0})  // coalesce A/B, reliable off
+    ->Args({1, 1})->Args({0, 1})  // coalesce A/B, reliable on
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_channel_ping_internode_socket)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_qr_small_nb)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_packet_alloc)
-    ->Args({64, 1})->Args({64, 0})
-    ->Args({192 * 192 * 8, 1})->Args({192 * 192 * 8, 0});
+BENCHMARK(BM_packet_alloc)->Arg(64)->Arg(192 * 192 * 8);
+BENCHMARK(BM_heap_alloc)->Arg(64)->Arg(192 * 192 * 8);
 BENCHMARK(BM_packet_clone)->Arg(64)->Arg(192 * 192 * 8);
 BENCHMARK(BM_vdp_fire_local)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);

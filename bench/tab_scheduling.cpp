@@ -36,7 +36,7 @@ void run_mode(prt::Scheduling sched, bool stealing, const char* name,
 
 int main() {
   std::printf("== Lazy vs aggressive VDP scheduling (Section V-D), plus the "
-              "work-stealing executor ==\n");
+              "work-stealing placement ==\n");
   std::printf("matrix 2048 x 256, nb = 64, ib = 16, h = 4, 4 workers\n\n");
   Matrix a0(2048, 256);
   fill_random(a0.view(), 4242);
@@ -46,6 +46,7 @@ int main() {
   run_mode(prt::Scheduling::Lazy, true, "work-stealing", a);
   std::printf("\npaper: lazy often wins on utilization through lookahead "
               "(panel/update interleaving).\nthe work-stealing row is this "
-              "repo's extra ablation: same dataflow, generic scheduler.\n");
+              "repo's extra ablation: the same lazy sweep, with a node's "
+              "workers sharing one VDP list.\n");
   return 0;
 }

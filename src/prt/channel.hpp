@@ -5,8 +5,9 @@
 //
 // Concurrency contract (enforced statically by prt::GraphCheck): every
 // channel has exactly ONE producer — either the source VDP (whose firings
-// are serialized by the worker binding or the work-stealing claim flag) or
-// the destination node's proxy thread — and exactly ONE consumer, the
+// are serialized by the firing claim, Vdp::running_, that the worker loop
+// holds whether one or all of a node's workers sweep it) or the
+// destination node's proxy thread — and exactly ONE consumer, the
 // destination VDP. That single-producer/single-consumer invariant is what
 // legitimizes the lock-free queue below.
 #pragma once
@@ -18,8 +19,8 @@
 
 namespace pulsarqr::prt {
 
-/// Wakes the worker thread that owns a VDP when new input arrives or a
-/// channel is enabled. Implemented by the runtime's worker loop.
+/// Wakes the workers that sweep a VDP when new input arrives or a channel
+/// is enabled. Implemented by the runtime's placement domain.
 class Waker {
  public:
   virtual ~Waker() = default;
@@ -44,16 +45,17 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Producer side (the single producer thread, or the proxy). Wakes the
-  /// owner if set. Pushes to a destroyed channel are dropped.
+  /// Producer side (the single producer's firing, or the proxy). Wakes
+  /// the consumer's waker if set. Pushes to a destroyed channel are dropped.
   void push(Packet p);
 
-  /// Consumer side (owner VDP's thread only). The channel must be
-  /// non-empty, i.e. size() returned > 0 on this thread.
+  /// Consumer side (a firing of the destination VDP, on whichever worker
+  /// holds its claim). The channel must be non-empty, i.e. size()
+  /// returned > 0 within the same firing streak.
   Packet pop();
 
   /// Number of queued packets (approximate under concurrency; exact for
-  /// the owning thread's ready check once it holds the packet).
+  /// the consumer's ready check once it holds the packet).
   int size() const;
 
   /// Lifetime traffic counters (monotone; approximate under concurrency).

@@ -40,7 +40,6 @@ void heap_free(std::byte* p) {
 /// Global half of the pool. Leaky singleton: Packet deleters may run from
 /// static destructors, so the pool must outlive everything.
 struct Central {
-  std::atomic<bool> enabled{true};
   std::atomic<long long> hits{0};
   std::atomic<long long> misses{0};
   std::atomic<long long> oversize{0};
@@ -107,10 +106,6 @@ void release(std::byte* p, int idx) {
   // see tsan.hpp).
   PULSARQR_TSAN_RELEASE(p);
   Central& c = central();
-  if (!c.enabled.load(std::memory_order_relaxed)) {
-    heap_free(p);
-    return;
-  }
   c.recycled.fetch_add(1, std::memory_order_relaxed);
   Magazine* mag = magazine();
   if (mag == nullptr) {
@@ -142,9 +137,6 @@ std::shared_ptr<std::byte[]> wrap_plain(std::byte* p) {
 
 std::shared_ptr<std::byte[]> PacketPool::acquire(std::size_t bytes) {
   Central& c = central();
-  if (!c.enabled.load(std::memory_order_relaxed)) {
-    return wrap_plain(heap_alloc(bytes));
-  }
   const int idx = class_index(bytes);
   if (idx < 0) {
     c.oversize.fetch_add(1, std::memory_order_relaxed);
@@ -183,14 +175,6 @@ std::shared_ptr<std::byte[]> PacketPool::acquire(std::size_t bytes) {
   }
   c.misses.fetch_add(1, std::memory_order_relaxed);
   return wrap_pooled(heap_alloc(class_capacity(idx)), idx);
-}
-
-void PacketPool::set_enabled(bool on) {
-  central().enabled.store(on, std::memory_order_relaxed);
-}
-
-bool PacketPool::enabled() {
-  return central().enabled.load(std::memory_order_relaxed);
 }
 
 PacketPool::Stats PacketPool::stats() {

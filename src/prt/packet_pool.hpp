@@ -14,10 +14,9 @@
 //     cross threads through channels and the proxy) come back to whichever
 //     thread allocates next.
 //
-// The pool is process-global and enabled by default; set_enabled(false)
-// restores plain heap allocation (the A/B baseline for benchmarks and the
-// `pqr --no-packet-pool` flag). Buffers above the largest size class are
-// never pooled. All buffers are 64-byte aligned, as before.
+// The pool is process-global and always on. Buffers above the largest
+// size class bypass it and come straight from the heap. All buffers are
+// 64-byte aligned.
 #pragma once
 
 #include <cstddef>
@@ -40,11 +39,6 @@ class PacketPool {
   /// A buffer of at least `bytes` bytes (rounded up to the size class);
   /// its deleter returns the buffer to the pool on last-reference release.
   static std::shared_ptr<std::byte[]> acquire(std::size_t bytes);
-
-  /// Process-wide switch. Disabled: acquire falls back to plain aligned
-  /// heap allocation and releases of previously pooled buffers free them.
-  static void set_enabled(bool on);
-  static bool enabled();
 
   static Stats stats();
 

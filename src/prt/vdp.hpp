@@ -112,11 +112,13 @@ class Vdp {
   std::vector<long long> declared_out_;
   std::any local_;
   /// Written by the worker holding the firing claim, read by any worker
-  /// scanning for candidates (work stealing) — hence atomic.
+  /// sweeping the same placement domain — hence atomic.
   std::atomic<bool> dead_{false};
   int global_thread_ = -1;  ///< assigned by the mapping at run()
-  /// Claim flag for the work-stealing executor: at most one worker fires
-  /// a VDP at a time.
+  /// Firing claim: the worker loop holds it for each firing streak, so at
+  /// most one worker fires a VDP at a time when a node's workers share a
+  /// placement domain (work stealing). Uncontended under the static
+  /// binding.
   std::atomic<bool> running_{false};
 };
 

@@ -53,44 +53,32 @@ struct OutMsg {
   Packet p;
 };
 
-struct Vsa::Worker : Waker {
-  int node_id = 0;
-  int local_id = 0;
-  int global_id = 0;
+/// A placement domain: the VDP list that one or more workers sweep, and
+/// the wake state they share. Without work stealing each worker has its
+/// own domain (the paper's static VDP->thread binding); with it, one
+/// domain holds every VDP of a node and all the node's workers sweep it.
+struct Vsa::Domain : Waker {
   std::vector<Vdp*> vdps;
-  int alive = 0;
-  double busy = 0.0;
+  std::atomic<int> alive{0};  ///< VDPs of `vdps` not yet dead
 
-  // Wake state: a generation counter bumped by every wake(), plus a
-  // parked flag so producers skip the mutex entirely while the worker is
-  // running or spinning (the common case). Dekker pairing: the waiter
-  // publishes parked then re-reads the epoch, the waker publishes the
-  // epoch then reads parked — both seq_cst, so no wake is ever lost.
+  // Wake state: a generation counter bumped by every wake(), plus a count
+  // of parked workers so producers skip the mutex entirely while the
+  // workers are running or spinning (the common case). Dekker pairing: a
+  // waiter publishes parked then re-reads the epoch, the waker publishes
+  // the epoch then reads parked — both seq_cst, so no wake is ever lost.
   std::atomic<std::uint64_t> wake_epoch{0};
-  std::atomic<bool> parked{false};
+  std::atomic<int> parked{0};
   std::mutex mu;
   std::condition_variable cv;
 
-  // Heartbeat for the watchdog: incremented entering AND leaving fire(),
-  // so an odd value means "a firing is in flight on this worker".
-  std::atomic<std::uint64_t> fire_epoch{0};
-
-  // Outgoing inter-node packets (one queue per worker, as in Figure 4).
-  std::mutex omu;
-  std::deque<OutMsg> outq;
-
-  std::thread thread;
-
-  void wake() override {
-    wake_epoch.fetch_add(1, std::memory_order_seq_cst);
-    if (parked.load(std::memory_order_seq_cst)) {
-      std::lock_guard<std::mutex> lock(mu);  // pairs with the parked wait
-      cv.notify_one();
-    }
-  }
+  /// New work: one parked worker is enough, since every worker that fires
+  /// sweeps again before it waits.
+  void wake() override { notify(false); }
+  /// The domain finished or the run is stopping: release every worker.
+  void wake_all() { notify(true); }
 
   /// Spin-then-park until the wake epoch moves past `seen` (a value read
-  /// BEFORE the caller's last scan, so any wake during the scan returns
+  /// BEFORE the caller's last sweep, so any wake during the sweep returns
   /// immediately), `stop()` turns true, or a backstop timeout expires.
   template <class Stop>
   void wait_for_wake(std::uint64_t seen, int spin_us, Stop stop) {
@@ -108,14 +96,41 @@ struct Vsa::Worker : Waker {
       if (wake_epoch.load(std::memory_order_acquire) != seen || stop()) return;
     }
     std::unique_lock<std::mutex> lock(mu);
-    parked.store(true, std::memory_order_seq_cst);
+    parked.fetch_add(1, std::memory_order_seq_cst);
     // The 10ms wait_for is a liveness backstop only; the epoch/parked
     // protocol makes real wakeups prompt.
     cv.wait_for(lock, 10ms, [&] {
       return wake_epoch.load(std::memory_order_seq_cst) != seen || stop();
     });
-    parked.store(false, std::memory_order_relaxed);
+    parked.fetch_sub(1, std::memory_order_relaxed);
   }
+
+ private:
+  void notify(bool all) {
+    wake_epoch.fetch_add(1, std::memory_order_seq_cst);
+    if (parked.load(std::memory_order_seq_cst) > 0) {
+      std::lock_guard<std::mutex> lock(mu);  // pairs with the parked wait
+      if (all) {
+        cv.notify_all();
+      } else {
+        cv.notify_one();
+      }
+    }
+  }
+};
+
+struct Vsa::Worker {
+  int node_id = 0;
+  int local_id = 0;
+  int global_id = 0;
+  Domain* domain = nullptr;  ///< the VDP list this worker sweeps
+  double busy = 0.0;
+
+  // Heartbeat for the watchdog: incremented entering AND leaving fire(),
+  // so an odd value means "a firing is in flight on this worker".
+  std::atomic<std::uint64_t> fire_epoch{0};
+
+  std::thread thread;
 };
 
 struct Vsa::Node {
@@ -126,49 +141,17 @@ struct Vsa::Node {
   bool local = false;  ///< in the node set this process runs
   std::thread proxy;
 
-  // Work-stealing executor state: a shared pool of fire candidates for
-  // this node's workers. pool_epoch/parked mirror the Worker wake
-  // protocol so idle workers can spin outside the lock before parking.
-  std::mutex pool_mu;
-  std::condition_variable pool_cv;
-  std::deque<Vdp*> pool;
-  std::atomic<std::uint64_t> pool_epoch{0};
-  std::atomic<int> parked{0};
-  std::atomic<int> alive{0};
-
-  // Outgoing inter-node queue used in work-stealing mode. Consecutive
-  // firings of one VDP may run on different workers there; per-worker
-  // queues would let the proxy reorder packets of a single channel, so
-  // stealing funnels sends through one per-node FIFO (claim
-  // serialization makes the enqueue order the channel order).
+  // Outgoing inter-node packets of all the node's workers, in one FIFO.
+  // Consecutive firings of one VDP may run on different workers under
+  // work stealing; the claim serializes them, so the enqueue order here
+  // is the channel order the proxy must keep.
   std::mutex omu;
   std::deque<OutMsg> outq;
 
   /// Seconds the proxy spent on transport work (written by the proxy
   /// thread, read by run() after joining it).
   double proxy_busy = 0.0;
-
-  void enqueue(Vdp* v) {
-    {
-      std::lock_guard<std::mutex> lock(pool_mu);
-      pool.push_back(v);
-    }
-    pool_epoch.fetch_add(1, std::memory_order_seq_cst);
-    if (parked.load(std::memory_order_seq_cst) > 0) {
-      pool_cv.notify_one();
-    }
-  }
 };
-
-namespace {
-/// Channel waker used in work-stealing mode: arrival of a packet turns
-/// the destination VDP into a fire candidate for the whole node.
-struct PoolWaker : Waker {
-  Vsa::Node* node = nullptr;
-  Vdp* vdp = nullptr;
-  void wake() override { node->enqueue(vdp); }
-};
-}  // namespace
 
 // ---- construction -----------------------------------------------------------
 
@@ -317,6 +300,7 @@ void Vsa::validate_and_wire() {
   // Create workers and nodes.
   workers_.clear();
   nodes_.clear();
+  domains_.clear();
   for (int n = 0; n < cfg_.nodes; ++n) {
     auto node = std::make_unique<Node>();
     node->id = n;
@@ -327,12 +311,18 @@ void Vsa::validate_and_wire() {
     w->global_id = t;
     w->node_id = t / cfg_.workers_per_node;
     w->local_id = t % cfg_.workers_per_node;
+    // Placement domains: one per worker, or one per node under stealing.
+    if (!cfg_.work_stealing || w->local_id == 0) {
+      domains_.push_back(std::make_unique<Domain>());
+    }
+    w->domain = domains_.back().get();
     nodes_[w->node_id]->workers.push_back(w.get());
     workers_.push_back(std::move(w));
   }
   for (Vdp* v : creation_order_) {
-    workers_[v->global_thread_]->vdps.push_back(v);
-    workers_[v->global_thread_]->alive += 1;
+    Domain& d = *workers_[v->global_thread_]->domain;
+    d.vdps.push_back(v);
+    d.alive.fetch_add(1, std::memory_order_relaxed);
   }
 
   auto find_vdp = [&](const Tuple& t, const char* what) -> Vdp& {
@@ -415,37 +405,15 @@ void Vsa::validate_and_wire() {
     }
   }
 
-  // Attach wakers now that ownership is final. With the sweep executor a
-  // packet wakes the destination VDP's bound worker; with work stealing
-  // it makes the VDP a fire candidate for its whole node.
-  if (cfg_.work_stealing) {
-    for (Vdp* v : creation_order_) {
-      Node* node = nodes_[v->global_thread_ / cfg_.workers_per_node].get();
-      node->alive.fetch_add(1, std::memory_order_relaxed);
-      auto waker = std::make_unique<PoolWaker>();
-      waker->node = node;
-      waker->vdp = v;
-      for (auto& ch : v->inputs_) ch->set_waker(waker.get());
-      // Backpressure liveness: a pop on a bounded local output of v frees
-      // room, so v (stalled by its firing rule) becomes a candidate again.
-      for (OutputRef& out : v->outputs_) {
-        if (out.local != nullptr && out.local->bounded()) {
-          out.local->set_pop_waker(waker.get());
-        }
-      }
-      pool_wakers_.push_back(std::move(waker));
-    }
-  } else {
-    for (Vdp* v : creation_order_) {
-      for (auto& ch : v->inputs_) {
-        ch->set_waker(workers_[v->global_thread_].get());
-      }
-      // Backpressure liveness (sweep executor): wake the producer's bound
-      // worker when the consumer pops a bounded local channel.
-      for (OutputRef& out : v->outputs_) {
-        if (out.local != nullptr && out.local->bounded()) {
-          out.local->set_pop_waker(workers_[v->global_thread_].get());
-        }
+  // Attach wakers now that ownership is final: a packet wakes the domain
+  // that sweeps the destination VDP, and a pop on a bounded local channel
+  // (backpressure liveness) wakes the producer's domain.
+  for (Vdp* v : creation_order_) {
+    Domain* d = workers_[v->global_thread_]->domain;
+    for (auto& ch : v->inputs_) ch->set_waker(d);
+    for (OutputRef& out : v->outputs_) {
+      if (out.local != nullptr && out.local->bounded()) {
+        out.local->set_pop_waker(d);
       }
     }
   }
@@ -463,16 +431,12 @@ void Vsa::push_from(VdpContext& ctx, int slot, Packet p) {
     out.local->push(std::move(p));
     return;
   }
-  // Inter-node: hand the packet to the outgoing queue and wake the
-  // node's proxy through its mailbox (MPI-progress style).
-  if (cfg_.work_stealing) {
-    Node& n = *nodes_[ctx.node];
+  // Inter-node: hand the packet to the node's outgoing queue and wake its
+  // proxy through its mailbox (MPI-progress style).
+  Node& n = *nodes_[ctx.node];
+  {
     std::lock_guard<std::mutex> lock(n.omu);
     n.outq.push_back({out.dst_node, out.tag, std::move(p)});
-  } else {
-    Worker& w = *workers_[ctx.global_thread];
-    std::lock_guard<std::mutex> lock(w.omu);
-    w.outq.push_back({out.dst_node, out.tag, std::move(p)});
   }
   comm_->interrupt(ctx.node);
 }
@@ -504,105 +468,36 @@ void Vsa::fire(Vdp& v, Worker& w) {
 }
 
 void Vsa::worker_loop(Worker& w) {
-  while (!cancelled_.load(std::memory_order_relaxed) && w.alive > 0) {
-    // Sample the wake epoch BEFORE the scan: a packet arriving for a VDP
-    // the scan already passed bumps the epoch and voids the wait below.
-    const std::uint64_t seen = w.wake_epoch.load(std::memory_order_acquire);
+  Domain& d = *w.domain;
+  auto stop = [&] {
+    return cancelled_.load(std::memory_order_relaxed) ||
+           d.alive.load(std::memory_order_acquire) <= 0;
+  };
+  while (!stop()) {
+    // Sample the wake epoch BEFORE the sweep: a packet arriving for a VDP
+    // the sweep already passed bumps the epoch and voids the wait below.
+    const std::uint64_t seen = d.wake_epoch.load(std::memory_order_acquire);
     bool fired = false;
-    for (Vdp* v : w.vdps) {
-      if (v->dead()) continue;
-      while (v->ready()) {
+    for (Vdp* v : d.vdps) {
+      if (v->dead() || !v->ready()) continue;
+      // The claim serializes a VDP's firings among the domain's workers.
+      // A worker that loses it leaves v to the holder, which sweeps again
+      // after releasing it and so sees whatever arrived meanwhile.
+      if (v->running_.exchange(true, std::memory_order_acquire)) continue;
+      bool died = false;
+      while (!v->dead() && v->ready()) {
         fire(*v, w);
         fired = true;
-        if (v->dead()) {
-          --w.alive;
-          break;
-        }
+        died = v->dead();
         if (cfg_.scheduling == Scheduling::Lazy) break;
+      }
+      v->running_.store(false, std::memory_order_release);
+      if (died && d.alive.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        d.wake_all();  // the domain is done: release its idle workers
       }
       if (cancelled_.load(std::memory_order_relaxed)) break;
     }
-    if (w.alive == 0) break;
-    if (!fired) {
-      w.wait_for_wake(seen, spin_us_, [this] {
-        return cancelled_.load(std::memory_order_relaxed);
-      });
-    }
-  }
-}
-
-void Vsa::worker_loop_stealing(Worker& w, Node& n) {
-  while (!cancelled_.load(std::memory_order_relaxed) &&
-         n.alive.load(std::memory_order_acquire) > 0) {
-    // Sampled before the pool check so an enqueue racing with an empty
-    // verdict cuts the wait short (same protocol as Worker::wait_for_wake).
-    const std::uint64_t seen = n.pool_epoch.load(std::memory_order_acquire);
-    Vdp* v = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(n.pool_mu);
-      if (!n.pool.empty()) {
-        v = n.pool.front();
-        n.pool.pop_front();
-      }
-    }
-    if (v == nullptr) {
-      auto stop = [&] {
-        return cancelled_.load(std::memory_order_relaxed) ||
-               n.alive.load(std::memory_order_acquire) <= 0;
-      };
-      if (spin_us_ > 0) {
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::microseconds(spin_us_);
-        int iter = 0;
-        while (n.pool_epoch.load(std::memory_order_acquire) == seen) {
-          cpu_relax();
-          if ((++iter & 63) == 0 &&
-              (stop() || std::chrono::steady_clock::now() >= deadline)) {
-            break;
-          }
-        }
-      }
-      if (n.pool_epoch.load(std::memory_order_acquire) == seen && !stop()) {
-        std::unique_lock<std::mutex> lock(n.pool_mu);
-        n.parked.fetch_add(1, std::memory_order_seq_cst);
-        n.pool_cv.wait_for(lock, 10ms, [&] {
-          return !n.pool.empty() ||
-                 n.pool_epoch.load(std::memory_order_seq_cst) != seen ||
-                 stop();
-        });
-        n.parked.fetch_sub(1, std::memory_order_relaxed);
-      }
-      continue;
-    }
-    if (v->dead() || !v->ready()) continue;  // stale candidate
-    bool expected = false;
-    if (!v->running_.compare_exchange_strong(expected, true)) {
-      continue;  // another worker holds it; it re-enqueues if still ready
-    }
-    if (v->dead()) {
-      v->running_.store(false);
-      continue;
-    }
-    while (v->ready()) {
-      fire(*v, w);
-      if (v->dead() || cfg_.scheduling == Scheduling::Lazy) break;
-    }
-    const bool died = v->dead();
-    v->running_.store(false, std::memory_order_release);
-    if (died) {
-      if (n.alive.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Node done: release idle workers. Locking pairs with the parked
-        // predicate so the last notification cannot slip between its
-        // evaluation and the park.
-        std::lock_guard<std::mutex> lock(n.pool_mu);
-        n.pool_cv.notify_all();
-      }
-    } else if (v->ready()) {
-      // Re-check AFTER unclaiming: a packet that arrived while we held
-      // the claim may have had its candidate dropped by another worker
-      // (claim failure), so this VDP's wakeup is now our responsibility.
-      n.enqueue(v);
-    }
+    if (!fired) d.wait_for_wake(seen, spin_us_, stop);
   }
 }
 
@@ -800,18 +695,7 @@ void Vsa::proxy_loop(Node& n) {
     return static_cast<int>(best);
   };
 
-  // Batched outgoing drain: swap the whole queue out under one lock
-  // instead of one lock round-trip per message, then stage lock-free.
   std::deque<OutMsg> batch;
-  auto send_all = [&](std::mutex& mu, std::deque<OutMsg>& q) {
-    batch.clear();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      batch.swap(q);
-    }
-    for (OutMsg& m : batch) send_one(m);
-    return !batch.empty();
-  };
   for (;;) {
     const auto t0 = Clock::now();
     bool any = false;
@@ -841,12 +725,16 @@ void Vsa::proxy_loop(Node& n) {
         }
       }
     }
-    // Serve the outgoing queues of this node's workers (and the node
-    // queue used by the work-stealing executor).
-    for (Worker* w : n.workers) {
-      any |= send_all(w->omu, w->outq);
+    // Batched outgoing drain: swap the node's whole queue out under one
+    // lock instead of one lock round-trip per message, then stage
+    // lock-free.
+    batch.clear();
+    {
+      std::lock_guard<std::mutex> lock(n.omu);
+      batch.swap(n.outq);
     }
-    any |= send_all(n.omu, n.outq);
+    for (OutMsg& m : batch) send_one(m);
+    any |= !batch.empty();
     // Drain all queued incoming messages in one mailbox swap.
     for (auto& m : comm_->drain(n.id)) {
       accept(std::move(m));
@@ -916,12 +804,7 @@ void Vsa::proxy_loop(Node& n) {
 
 void Vsa::wake_nodes() {
   for (Node* n : local_nodes_) {
-    for (Worker* w : n->workers) w->wake();
-    {
-      // Locking pairs with the parked predicate of worker_loop_stealing.
-      std::lock_guard<std::mutex> lock(n->pool_mu);
-      n->pool_cv.notify_all();
-    }
+    for (Worker* w : n->workers) w->domain->wake_all();
     comm_->interrupt(n->id);  // proxies blocked in recv_wait
   }
 }
@@ -1016,21 +899,9 @@ Vsa::RunStats Vsa::run_nodes(const std::vector<int>& ranks,
   }
   workers_running_.store(static_cast<int>(local.size()));
   const auto t_start = std::chrono::steady_clock::now();
-  if (cfg_.work_stealing) {
-    // Seed every VDP of the node set as an initial fire candidate; the
-    // rest of the graph belongs to sibling node processes.
-    for (Vdp* v : creation_order_) {
-      Node& n = *nodes_[v->global_thread_ / cfg_.workers_per_node];
-      if (n.local) n.enqueue(v);
-    }
-  }
   for (Worker* w : local) {
     w->thread = std::thread([this, w] {
-      if (cfg_.work_stealing) {
-        worker_loop_stealing(*w, *nodes_[w->node_id]);
-      } else {
-        worker_loop(*w);
-      }
+      worker_loop(*w);
       if (workers_running_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         std::lock_guard<std::mutex> lock(loop_mu_);
         loop_cv_.notify_all();

@@ -49,11 +49,13 @@ class Vsa {
     int nodes = 1;
     int workers_per_node = 2;
     Scheduling scheduling = Scheduling::Lazy;
-    /// Alternative execution principle (Section II of the paper invites
-    /// comparing runtimes): ignore the static VDP->thread binding within
-    /// each node and let the node's workers fire any ready VDP from a
-    /// shared pool. The VDP->node placement (and hence all inter-node
-    /// channels) is unchanged — stealing cannot cross address spaces.
+    /// Placement domain of the worker sweep (Section II of the paper
+    /// invites comparing runtimes). Off: each worker sweeps only the VDPs
+    /// bound to it (the paper's static VDP->thread binding). On: a node's
+    /// workers all sweep one list of every VDP on the node, and a
+    /// per-VDP claim keeps each VDP's firings serial. The VDP->node
+    /// placement (and hence all inter-node channels) is unchanged —
+    /// stealing cannot cross address spaces.
     bool work_stealing = false;
     bool trace = false;
     /// Abort the run (with a stuck-VDP diagnostic) if no VDP fires for
@@ -299,6 +301,7 @@ class Vsa {
   /// Internal: route a packet from a firing VDP (used by VdpContext).
   void push_from(VdpContext& ctx, int slot, Packet p);
 
+  struct Domain;  ///< implementation detail (vsa.cpp)
   struct Worker;  ///< implementation detail (vsa.cpp)
   struct Node;    ///< implementation detail (vsa.cpp)
 
@@ -307,7 +310,6 @@ class Vsa {
 
   void validate_and_wire();
   void worker_loop(Worker& w);
-  void worker_loop_stealing(Worker& w, Node& n);
   void proxy_loop(Node& n);
   void fire(Vdp& v, Worker& w);
   /// Transport-specific parts of run_nodes: the socket node process's
@@ -332,8 +334,8 @@ class Vsa {
   /// per-thread and per-node vectors span the whole array, zero outside
   /// the node set, so node processes' stats merge element-wise.
   RunStats node_stats(double seconds, const PacketPool::Stats& pool0);
-  /// Wake every worker, work-stealing pool and proxy of the running node
-  /// set so each re-checks cancelled_ / done_.
+  /// Wake every worker and proxy of the running node set so each
+  /// re-checks cancelled_ / done_.
   void wake_nodes();
   /// Stop the running node set: mark the run cancelled and wake it.
   void cancel();
@@ -384,7 +386,7 @@ class Vsa {
   // Runtime state (valid during run()).
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::unique_ptr<Waker>> pool_wakers_;
+  std::vector<std::unique_ptr<Domain>> domains_;
   std::unique_ptr<net::Comm> comm_;
   std::unique_ptr<trace::Recorder> recorder_;
   std::vector<Node*> local_nodes_;  ///< the node set run_nodes is running

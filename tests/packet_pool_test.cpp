@@ -39,7 +39,6 @@ TEST(PacketPoolTest, SizeClassBoundaries) {
 }
 
 TEST(PacketPoolTest, SameThreadReuseHitsTheMagazine) {
-  ASSERT_TRUE(PacketPool::enabled());
   // Warm one buffer of an odd size no other test uses, then re-acquire
   // the same class: the release/acquire pair must be a magazine hit.
   { Packet p = Packet::make(777); }
@@ -66,20 +65,6 @@ TEST(PacketPoolTest, CrossThreadFreeComesBackThroughTheSpillList) {
   std::vector<Packet> again;
   for (int i = 0; i < 32; ++i) again.push_back(Packet::make(kBytes));
   EXPECT_EQ(misses_now(), m0) << "expected all 32 buffers recycled";
-}
-
-TEST(PacketPoolTest, DisabledBypassesThePool) {
-  PacketPool::set_enabled(false);
-  const PacketPool::Stats s0 = PacketPool::stats();
-  {
-    Packet p = Packet::make(512);
-    EXPECT_NE(p.bytes(), nullptr);
-  }
-  const PacketPool::Stats s1 = PacketPool::stats();
-  EXPECT_EQ(s1.hits, s0.hits);
-  EXPECT_EQ(s1.misses, s0.misses);
-  EXPECT_EQ(s1.recycled, s0.recycled);
-  PacketPool::set_enabled(true);
 }
 
 TEST(PacketPoolTest, OversizeRequestsAreNotPooled) {

@@ -262,5 +262,57 @@ TEST(VsaStress, SpscStrictFifoAcrossSchedulers) {
   }
 }
 
+// Under work stealing all of a node's workers sweep one placement domain
+// holding every VDP of the node; the per-VDP claim must still keep each
+// VDP's firings serial. Every body counts itself in and out of its own
+// VDP's in-flight counter, so two workers firing one VDP at once show up
+// as an overlap (and, under TSan, as a race on the channel pops).
+constexpr int kOverlapVdps = 6;
+
+struct OverlapProbe {
+  std::atomic<int> in_flight[kOverlapVdps] = {};
+  std::atomic<long long> overlaps{0};
+  std::atomic<long long> fires{0};
+};
+
+TEST(VsaStress, SharedDomainNeverFiresOneVdpOnTwoWorkers) {
+  const int k = 300;
+  for (auto sched : {Scheduling::Lazy, Scheduling::Aggressive}) {
+    Vsa::Config cfg;
+    cfg.nodes = 1;
+    cfg.workers_per_node = 4;
+    cfg.scheduling = sched;
+    cfg.work_stealing = true;
+    cfg.watchdog_seconds = 20.0;
+    Vsa vsa(cfg);
+    auto probe = std::make_shared<OverlapProbe>();
+    vsa.set_global(probe);
+    for (int i = 0; i < kOverlapVdps; ++i) {
+      vsa.add_vdp(
+          tuple2(21, i), k,
+          [i](VdpContext& ctx) {
+            auto& pr = ctx.global<OverlapProbe>();
+            if (pr.in_flight[i].fetch_add(1) != 0) pr.overlaps.fetch_add(1);
+            (void)ctx.pop(0);
+            // Hold the firing open long enough for a second worker to
+            // reach the same VDP if nothing stopped it.
+            volatile int sink = 0;
+            for (int s = 0; s < 2000; ++s) sink = sink + s;
+            pr.in_flight[i].fetch_sub(1);
+            pr.fires.fetch_add(1);
+          },
+          1, 0);
+      std::vector<Packet> ticks;
+      for (int t = 0; t < k; ++t) ticks.push_back(Packet::make(8));
+      vsa.feed(tuple2(21, i), 0, 8, std::move(ticks));
+    }
+    const auto stats = vsa.run();
+    const char* name = sched == Scheduling::Lazy ? "lazy" : "aggressive";
+    EXPECT_EQ(probe->overlaps.load(), 0) << name;
+    EXPECT_EQ(stats.fires, 1LL * kOverlapVdps * k) << name;
+    EXPECT_EQ(probe->fires.load(), 1LL * kOverlapVdps * k) << name;
+  }
+}
+
 }  // namespace
 }  // namespace pulsarqr::prt

@@ -359,6 +359,42 @@ TEST(VsaPipeline, ImmediatePark) {
   EXPECT_EQ(stats.leftover_packets, 0);
 }
 
+// Section V-D firing order, pinned on one worker. Lazy fires a ready VDP
+// once and moves on, so two fed VDPs interleave; aggressive re-fires a
+// VDP while it stays ready, so each drains in turn. Both placements sweep
+// the same list in creation order, so stealing must not change the order.
+TEST(VsaScheduling, FiringOrderPinnedForBothPlacements) {
+  const int k = 4;
+  for (auto sched : {Scheduling::Lazy, Scheduling::Aggressive}) {
+    for (bool stealing : {false, true}) {
+      Vsa::Config c = cfg(1, 1, sched);
+      c.work_stealing = stealing;
+      Vsa vsa(c);
+      auto order = std::make_shared<std::vector<int>>();
+      for (int i = 0; i < 2; ++i) {
+        vsa.add_vdp(
+            tuple2(30, i), k,
+            [order, i](VdpContext& ctx) {
+              (void)ctx.pop(0);
+              order->push_back(i);  // one worker: firings are serial
+            },
+            1, 0);
+        std::vector<Packet> init;
+        for (int j = 0; j < k; ++j) init.push_back(Packet::make(8));
+        vsa.feed(tuple2(30, i), 0, 8, std::move(init));
+      }
+      const auto stats = vsa.run();
+      EXPECT_EQ(stats.fires, 2 * k);
+      const std::vector<int> want =
+          sched == Scheduling::Lazy ? std::vector<int>{0, 1, 0, 1, 0, 1, 0, 1}
+                                    : std::vector<int>{0, 0, 0, 0, 1, 1, 1, 1};
+      EXPECT_EQ(*order, want)
+          << (sched == Scheduling::Lazy ? "lazy" : "aggressive")
+          << " stealing=" << stealing;
+    }
+  }
+}
+
 // Every constrained Config field is checked when the Vsa is built,
 // before any thread or process exists, by an Error that names the field.
 // (A non-positive retransmit timeout used to be thrown from inside a

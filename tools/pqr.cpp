@@ -22,8 +22,7 @@
 //                 --coalesce-bytes 65536 --flush-us 50
 //                 --max-respawns 0 --replay-log-mb 64 --hb-timeout 10
 //                 --kill-node -1 --kill-after 0
-// and every command also takes --kernel-isa auto|avx512|avx2|neon|scalar
-// and --no-packet-pool.
+// and every command also takes --kernel-isa auto|avx512|avx2|neon|scalar.
 //
 // The chaos flags install a deterministic FaultPlan on the inter-node
 // transport (same seed => same fault schedule); --reliable layers the
@@ -73,7 +72,6 @@
 #include "common/rng.hpp"
 #include "lu/vsa_lu.hpp"
 #include "lapack/solve.hpp"
-#include "prt/packet_pool.hpp"
 #include "ref/apply_q.hpp"
 #include "sim/chol_sim.hpp"
 #include "sim/lu_sim.hpp"
@@ -573,10 +571,6 @@ int main(int argc, char** argv) {
                    blas::simd::isa_name(blas::simd::detect_isa()));
       return 2;
     }
-  }
-  // Process-wide packet-buffer recycling A/B switch (on by default).
-  if (a.geti("no-packet-pool", 0) != 0) {
-    prt::PacketPool::set_enabled(false);
   }
   try {
     if (std::strcmp(cmd, "factor") == 0) return cmd_factor(a);
