@@ -66,22 +66,20 @@ void BM_channel_ping(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * packets);
 }
 
-// Inter-node ping through the proxy path: an A/B matrix of egress frame
-// coalescing (on/off) and the ack/retransmit reliable-delivery protocol
-// (off must show no measurable overhead: the sequencing machinery is not
-// even instantiated then).
+// Inter-node ping through the proxy path, one wire message per frame: an
+// A/B of the ack/retransmit reliable-delivery protocol (off must show no
+// measurable overhead: the sequencing machinery is not even instantiated
+// then).
 void BM_channel_ping_internode(benchmark::State& state) {
   const int length = 8;
   const int packets = 256;
-  const bool coalesce = state.range(0) == 1;
-  const bool reliable = state.range(1) == 1;
+  const bool reliable = state.range(0) == 1;
   for (auto _ : state) {
     state.PauseTiming();
     Vsa::Config cfg;
     cfg.nodes = 2;
     cfg.workers_per_node = 1;
     cfg.reliable_transport = reliable;
-    cfg.coalesce_bytes = coalesce ? 64 * 1024 : 0;
     Vsa vsa(cfg);
     // Alternate home nodes so every hop crosses the proxy transport.
     for (int i = 0; i < length; ++i) {
@@ -106,8 +104,7 @@ void BM_channel_ping_internode(benchmark::State& state) {
     benchmark::DoNotOptimize(stats.remote_messages);
   }
   state.SetItemsProcessed(state.iterations() * length * packets);
-  state.SetLabel(std::string(coalesce ? "coalesce-on" : "coalesce-off") +
-                 (reliable ? "/reliable-on" : "/reliable-off"));
+  state.SetLabel(reliable ? "reliable-on" : "reliable-off");
 }
 
 // The same inter-node ping over the out-of-process Socket backend: one
@@ -283,8 +280,7 @@ void BM_bypass_chain(benchmark::State& state) {
 BENCHMARK(BM_channel_push_pop);
 BENCHMARK(BM_channel_ping)->UseRealTime();
 BENCHMARK(BM_channel_ping_internode)
-    ->Args({1, 0})->Args({0, 0})  // coalesce A/B, reliable off
-    ->Args({1, 1})->Args({0, 1})  // coalesce A/B, reliable on
+    ->Arg(0)->Arg(1)  // reliable off / on
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_channel_ping_internode_socket)
     ->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -1,5 +1,6 @@
 #include "prt/channel.hpp"
 
+#include "common/error.hpp"
 #include "prt/tsan.hpp"
 
 namespace pulsarqr::prt {

@@ -1,5 +1,7 @@
 #include "prt/packet.hpp"
 
+#include <cstring>
+
 #include "prt/packet_pool.hpp"
 
 namespace pulsarqr::prt {

@@ -117,10 +117,10 @@ void SocketComm::install_rejoin(const Rejoin& rj) {
     // The write lock serializes against in-flight write_frame calls: no
     // sender can interleave half a frame across the fd swap.
     std::lock_guard<std::mutex> lock(*wmu_[rj.rank]);
-    peer_fds_[rj.rank].store(rj.fd, std::memory_order_release);
+    peer_fds_[rj.rank].store(rj.fd);  // seq_cst: see the receiver's EOF path
     peer_epoch_[rj.rank].store(rj.epoch, std::memory_order_release);
   }
-  peer_down_[rj.rank].store(false, std::memory_order_release);
+  peer_down_[rj.rank].store(false);
   // Wake the receiver so it reconciles (closes the replaced fd, discards
   // the dead incarnation's partial stream, and starts polling the new fd).
   const char b = 'w';
@@ -192,13 +192,7 @@ int SocketComm::isend(int src, int dst, int tag, const Packet& payload,
                       bool shared) {
   PQR_ASSERT(dst >= 0 && dst < size(), "isend: bad destination rank");
   PQR_ASSERT(src == rank_, "SocketComm::isend: src must be the owning rank");
-  if (is_ack) {
-    require(tag == kPureAckTag,
-            "isend: an ack frame must use the reserved pure-ack tag " +
-                std::to_string(kPureAckTag) + ", got " + std::to_string(tag));
-  } else if (tag != kAggregateTag) {
-    require_user_tag(tag, "isend");
-  }
+  check_send_tag(tag, is_ack);
   offered_.fetch_add(1, std::memory_order_relaxed);
   // The wire write below serializes the bytes out of the caller's buffer
   // either way, so `shared` needs no deep copy here; the flag only
@@ -479,7 +473,19 @@ void SocketComm::receiver_loop() {
       } else if (k == 0 || (k < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
                             errno != EINTR)) {
         dead[peer] = 1;  // peer process exited; normal during teardown
-        peer_down_[peer].store(true, std::memory_order_release);
+        // Only the current fd's EOF marks the peer down. A replacement
+        // may have rejoined since this poll began, and the old fd's EOF
+        // must not re-mark the link down after install_rejoin cleared it:
+        // retransmits to the replacement would then be deferred forever.
+        // install_rejoin swaps the fd before it clears the flag, so
+        // re-reading the fd after the store undoes a mark that raced it
+        // (all four accesses are seq_cst, which keeps both orders).
+        if (peer_fds_[peer].load() == pfds[i].fd) {
+          peer_down_[peer].store(true);
+          if (peer_fds_[peer].load() != pfds[i].fd) {
+            peer_down_[peer].store(false);
+          }
+        }
       }
     }
     if ((pfds.back().revents & POLLIN) != 0) {

@@ -27,11 +27,11 @@
 // socket buffer across a rejoin would otherwise trim frames the replay
 // path just requeued.
 //
-// Data frames carry the full Message header, so the Reliable layer and
-// the proxy's aggregate split run unchanged over either backend. Barrier
-// frames carry the sender's barrier generation in `seq` (dissemination
-// barrier: everyone sends its generation to everyone, then waits until
-// it has seen its own generation from every peer). Interrupt frames wake
+// Data frames carry the full Message header, so the Reliable layer runs
+// unchanged over either backend. Barrier frames carry the sender's
+// barrier generation in `seq` (dissemination barrier: everyone sends its
+// generation to everyone, then waits until it has seen its own
+// generation from every peer). Interrupt frames wake
 // a peer blocked in recv_wait.
 //
 // Fault injection happens on the SEND side, before any bytes hit the

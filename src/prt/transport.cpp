@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <sstream>
-
-#include "prt/wire.hpp"
 
 namespace pulsarqr::prt::net {
 
@@ -123,22 +120,6 @@ Comm::Comm(int nranks) : nranks_(nranks) {
 
 Comm::~Comm() = default;
 
-namespace {
-/// Tag-space gate (see prt/tags.hpp): protocol traffic must carry exactly
-/// its reserved tag, and application traffic must stay out of the
-/// reserved (negative) range — a user-supplied negative tag would
-/// otherwise alias ack or aggregate handling on the receive side.
-void check_send_tag(int tag, bool is_ack) {
-  if (is_ack) {
-    require(tag == kPureAckTag,
-            "isend: an ack frame must use the reserved pure-ack tag " +
-                std::to_string(kPureAckTag) + ", got " + std::to_string(tag));
-  } else if (tag != kAggregateTag) {
-    require_user_tag(tag, "isend");
-  }
-}
-}  // namespace
-
 // ---- MailboxComm ------------------------------------------------------------
 
 MailboxComm::MailboxComm(int nranks) : Comm(nranks) {
@@ -190,8 +171,8 @@ int MailboxComm::isend(int src, int dst, int tag, const Packet& payload,
   check_send_tag(tag, is_ack);
   offered_.fetch_add(1, std::memory_order_relaxed);
   // Default: deep copy, emulating separate address spaces. `shared` hands
-  // over a reference for payloads immutable on both sides (coalesced wire
-  // buffers, retransmissions) — see the declaration for the contract.
+  // over a reference for payloads immutable on both sides
+  // (retransmissions) — see the declaration for the contract.
   Message m{src, tag, meta, seq, ack, is_ack,
             shared ? payload : payload.clone()};
   if (!oracle_.active()) {
@@ -387,15 +368,13 @@ long long Reliable::piggyback_ack(int peer) const {
   return it == recv_.end() ? -1 : it->second.expected - 1;
 }
 
-void Reliable::send(int dst, int tag, const Packet& payload, int meta,
-                    bool shared) {
-  // Sequenced frames carry either an application tag or a whole
-  // aggregate; anything else in the reserved range is a caller bug.
-  if (tag != kAggregateTag) require_user_tag(tag, "Reliable::send");
+void Reliable::send(int dst, int tag, const Packet& payload, int meta) {
+  // Sequenced frames carry application tags only; the reserved range is
+  // protocol traffic that is never sequenced.
+  require_user_tag(tag, "Reliable::send");
   auto& link = send_[dst];
   const long long seq = link.next_seq++;
-  comm_.isend(rank_, dst, tag, payload, meta, seq, piggyback_ack(dst), false,
-              shared);
+  comm_.isend(rank_, dst, tag, payload, meta, seq, piggyback_ack(dst));
   if (auto it = recv_.find(dst); it != recv_.end()) {
     it->second.ack_dirty = false;  // the piggyback carried the ack
   }
@@ -584,51 +563,6 @@ std::vector<LinkGap> Reliable::gaps() const {
     out.push_back(std::move(g));
   }
   return out;
-}
-
-// ---- frame coalescing -------------------------------------------------------
-
-void FrameStager::add(int tag, int meta, const Packet& p) {
-  PQR_ASSERT(fits(p.size()), "FrameStager::add: frame does not fit");
-  // Aggregates nest only application frames: a reserved tag inside one
-  // (a nested aggregate, an ack) would be mis-dispatched by the
-  // receiving proxy's split loop.
-  require_user_tag(tag, "FrameStager::add");
-  if (buf_.empty()) buf_ = Packet::make(capacity_);
-  std::byte* at = buf_.bytes() + used_;
-  // Explicit little-endian header (wire.hpp), NOT a memcpy of host
-  // integers: an aggregate staged on one host must parse identically on
-  // any other, and on the golden frames recorded in the tests.
-  wire::put_i32(at, tag);
-  wire::put_i32(at + 4, meta);
-  wire::put_u64(at + 8, static_cast<std::uint64_t>(p.size()));
-  if (p.size() > 0) std::memcpy(at + kHeaderBytes, p.bytes(), p.size());
-  used_ += wire_size(p.size());
-  ++frames_;
-}
-
-Packet FrameStager::take() {
-  PQR_ASSERT(frames_ > 0, "FrameStager::take: nothing staged");
-  buf_.truncate(used_);
-  buf_.set_meta(frames_);
-  Packet out = std::move(buf_);
-  buf_ = Packet();
-  used_ = 0;
-  frames_ = 0;
-  return out;
-}
-
-bool FrameCursor::next(WireFrame& out) {
-  if (off_ >= size_) return false;
-  PQR_ASSERT(off_ + 16 <= size_, "FrameCursor: truncated frame header");
-  out.tag = wire::get_i32(data_ + off_);
-  out.meta = wire::get_i32(data_ + off_ + 4);
-  out.size = static_cast<std::size_t>(wire::get_u64(data_ + off_ + 8));
-  out.data = data_ + off_ + 16;
-  PQR_ASSERT(off_ + FrameStager::wire_size(out.size) <= size_,
-             "FrameCursor: truncated frame payload");
-  off_ += FrameStager::wire_size(out.size);
-  return true;
 }
 
 }  // namespace pulsarqr::prt::net

@@ -178,12 +178,10 @@ class Comm {
   ///
   /// `shared` skips the deep copy and hands the receiver a reference to
   /// the caller's buffer. Only for payloads that are immutable for the
-  /// rest of their life on BOTH sides: the proxy's gather-coalesced wire
-  /// buffers (the gather is the address-space copy; the receiver splits
-  /// into fresh buffers) and Reliable retransmissions (a retransmitted
-  /// frame is either the only copy ever delivered or suppressed unread by
-  /// the receiver's sequence dedup). The default path keeps the deep copy
-  /// that emulates separate address spaces.
+  /// rest of their life on BOTH sides: Reliable retransmissions (a
+  /// retransmitted frame is either the only copy ever delivered or
+  /// suppressed unread by the receiver's sequence dedup). The default
+  /// path keeps the deep copy that emulates separate address spaces.
   virtual int isend(int src, int dst, int tag, const Packet& payload, int meta,
                     long long seq = -1, long long ack = -1, bool is_ack = false,
                     bool shared = false) = 0;
@@ -331,12 +329,11 @@ class Reliable {
   /// Send one data frame to dst: assigns the link's next sequence number,
   /// piggybacks the cumulative ack of the reverse link, and retains a
   /// shared reference to the payload (no copy) for retransmission until
-  /// acked. `shared` is forwarded to Comm::isend for the first
-  /// transmission (see the contract there); retransmissions are always
-  /// sent shared — the staged buffer goes on the wire as-is instead of
-  /// being deep-copied per transmission.
-  void send(int dst, int tag, const Packet& payload, int meta,
-            bool shared = false);
+  /// acked. The first transmission deep-copies like any isend;
+  /// retransmissions are sent shared (see the contract there) — the
+  /// retained buffer goes on the wire as-is instead of being deep-copied
+  /// per transmission.
+  void send(int dst, int tag, const Packet& payload, int meta);
 
   /// Process one raw incoming frame. Data frames that complete the
   /// in-order prefix of their link (including previously buffered
@@ -456,76 +453,6 @@ class Reliable {
   long long dup_suppressed_ = 0;
   long long acks_sent_ = 0;
   long long replayed_ = 0;
-};
-
-// ---- frame coalescing -------------------------------------------------------
-//
-// Wire format of an aggregate (tag == kAggregateTag, meta == frame count):
-// a sequence of frames, each a 16-byte header {int32 tag, int32 meta,
-// uint64 size} followed by the payload padded to 8 bytes. One aggregate is
-// one fault-plan decision and (under Reliable) one sequence number, so the
-// per-message latency, ack and retransmit costs amortize over every frame
-// it carries.
-
-/// One application frame inside an aggregate, as decoded by FrameCursor.
-/// `data` points into the aggregate's buffer and lives as long as it.
-struct WireFrame {
-  int tag = -1;
-  int meta = 0;
-  std::size_t size = 0;
-  const std::byte* data = nullptr;
-};
-
-/// Per-destination egress staging buffer: gather-copies outbound frames
-/// into one pooled wire buffer up to `capacity` bytes. Owned and driven
-/// by a single proxy thread; not thread-safe.
-class FrameStager {
- public:
-  explicit FrameStager(std::size_t capacity) : capacity_(capacity) {}
-
-  bool empty() const { return frames_ == 0; }
-  int frames() const { return frames_; }
-  std::size_t bytes() const { return used_; }
-
-  /// Wire cost of one frame: header plus the payload padded to 8 bytes.
-  static std::size_t wire_size(std::size_t payload_bytes) {
-    return kHeaderBytes + ((payload_bytes + 7) & ~std::size_t{7});
-  }
-
-  /// Whether a frame of `payload_bytes` still fits the staged buffer.
-  bool fits(std::size_t payload_bytes) const {
-    return used_ + wire_size(payload_bytes) <= capacity_;
-  }
-
-  /// Gather-copy one frame into the staging buffer (caller checks fits()).
-  void add(int tag, int meta, const Packet& p);
-
-  /// The staged aggregate, trimmed to the gathered bytes, with meta set to
-  /// the frame count; resets the stager. Requires !empty().
-  Packet take();
-
- private:
-  static constexpr std::size_t kHeaderBytes = 16;
-
-  std::size_t capacity_;
-  Packet buf_;  ///< pooled; allocated lazily on the first add()
-  std::size_t used_ = 0;
-  int frames_ = 0;
-};
-
-/// Zero-copy reader over an aggregate payload built by FrameStager.
-class FrameCursor {
- public:
-  explicit FrameCursor(const Packet& aggregate)
-      : data_(aggregate.bytes()), size_(aggregate.size()) {}
-
-  /// Advance to the next frame; false when the aggregate is exhausted.
-  bool next(WireFrame& out);
-
- private:
-  const std::byte* data_;
-  std::size_t size_;
-  std::size_t off_ = 0;
 };
 
 }  // namespace pulsarqr::prt::net

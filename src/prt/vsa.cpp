@@ -184,7 +184,6 @@ void Vsa::Config::validate() const {
   at_least(retransmit_timeout_us, 1, "retransmit_timeout_us");
   at_least(max_retransmits, 0, "max_retransmits");
   at_least(max_respawns, 0, "max_respawns");
-  at_least(coalesce_flush_us, 0, "coalesce_flush_us");
   at_least(watchdog_seconds, 0, "watchdog_seconds");
   at_least(heartbeat_timeout_seconds, 0, "heartbeat_timeout_seconds");
   at_least(fault_plan.delay_us, 0, "fault_plan.delay_us");
@@ -537,13 +536,13 @@ void Vsa::proxy_loop(Node& n) {
   }
   // Channel-level exactly-once bookkeeping for crash replay. Wire
   // sequence numbers cannot dedup a respawned peer's re-sent stream: the
-  // replacement re-coalesces from scratch, so its frame k need not carry
-  // the same application frames as the dead incarnation's frame k. What
-  // IS deterministic is the per-channel order of application frames
-  // (single producer VDP, fixed firing order, in-order delivery under
-  // Reliable) — so we count delivered frames per (source node, tag) route
-  // and, at a rejoin, arrange to drop exactly the already-delivered
-  // prefix of the replacement's fresh stream.
+  // replacement's workers interleave their channels differently, so its
+  // frame k need not carry the same application frame as the dead
+  // incarnation's frame k. What IS deterministic is the per-channel order
+  // of application frames (single producer VDP, fixed firing order,
+  // in-order delivery under Reliable) — so we count delivered frames per
+  // (source node, tag) route and, at a rejoin, arrange to drop exactly the
+  // already-delivered prefix of the replacement's fresh stream.
   std::unordered_map<std::uint64_t, long long> delivered;
   std::unordered_map<std::uint64_t, long long> replay_skip;
   auto should_deliver = [&](int src, int tag) {
@@ -558,30 +557,10 @@ void Vsa::proxy_loop(Node& n) {
     return true;
   };
   auto deliver = [&](net::Message& m) {
-    if (m.tag == net::kAggregateTag) {
-      // Split an aggregate back into its application frames. Each frame
-      // gets a fresh pooled packet: the aggregate buffer is shared with
-      // the sender (and, under Reliable, with its retransmit retention),
-      // so channels must not alias into it.
-      net::FrameCursor cursor(m.payload);
-      net::WireFrame wf;
-      int count = 0;
-      while (cursor.next(wf)) {
-        ++count;
-        if (!should_deliver(m.source, wf.tag)) continue;
-        auto it = n.route.find(route_key(m.source, wf.tag));
-        PQR_ASSERT(it != n.route.end(), "proxy: unroutable coalesced frame");
-        Packet p = Packet::make(wf.size, wf.meta);
-        if (wf.size > 0) std::memcpy(p.bytes(), wf.data, wf.size);
-        it->second->push(std::move(p));
-      }
-      PQR_ASSERT(count == m.meta, "proxy: aggregate frame count mismatch");
-      return;
-    }
     if (!should_deliver(m.source, m.tag)) return;
     auto it = n.route.find(route_key(m.source, m.tag));
     PQR_ASSERT(it != n.route.end(), "proxy: unroutable message");
-    // Raw frame: adopt the transport's (pooled) buffer directly.
+    // Adopt the transport's (pooled) buffer directly.
     m.payload.set_meta(m.meta);
     it->second->push(std::move(m.payload));
   };
@@ -612,87 +591,26 @@ void Vsa::proxy_loop(Node& n) {
       inbox.pop_front();
     }
   };
-  // ---- egress: per-destination frame coalescing ----
-  //
-  // Outbound frames are gather-copied into one pooled wire buffer per
-  // destination and shipped as a single aggregate message (one fault-plan
-  // decision, one sequence number) when the stage fills, its deadline
-  // expires, or the run winds down. Frames that could never fit are sent
-  // directly — after flushing the stage, so per-destination order holds.
+  // ---- egress: one wire message per application frame ----
   using Clock = std::chrono::steady_clock;
-  const std::size_t cap = cfg_.coalesce_bytes;
-  const auto flush_window = std::chrono::microseconds(
-      cfg_.coalesce_flush_us > 0 ? cfg_.coalesce_flush_us : 0);
-  struct Egress {
-    net::FrameStager stager;
-    Clock::time_point deadline{};  ///< flush-by time of the oldest frame
-    explicit Egress(std::size_t c) : stager(c) {}
-  };
-  std::map<int, Egress> egress;  // destination rank -> staging buffer
-  long long frames = 0, frame_bytes = 0, coalesced = 0, aggregates = 0;
+  // Retransmit timers are armed only where a frame can be lost: under a
+  // dropping fault plan, or with crash recovery (replay_link re-arms the
+  // replayed frames' deadlines to now and relies on poll() to resend).
+  // Both backends are ordered, reliable streams, and dup, delay and
+  // reorder never lose a frame, so elsewhere a timeout could only resend
+  // a frame that is already on its way.
+  const bool timers = cfg_.fault_plan.drop > 0 || recovery;
+  long long frames = 0, frame_bytes = 0;
   double busy = 0.0;
-
-  auto wire_send = [&](int dst, int tag, const Packet& p, int meta,
-                       bool shared) {
-    if (rel) {
-      rel->send(dst, tag, p, meta, shared);
-    } else {
-      const int req = comm_->isend(n.id, dst, tag, p, meta, /*seq=*/-1,
-                                   /*ack=*/-1, /*is_ack=*/false, shared);
-      PQR_ASSERT(comm_->test(req), "proxy: isend did not complete");
-    }
-  };
-  auto flush = [&](int dst, Egress& e) {
-    if (e.stager.empty()) return false;
-    coalesced += e.stager.frames();
-    ++aggregates;
-    const Packet wire = e.stager.take();
-    // Shared: the gather copy above already played the address-space
-    // copy; the receiving proxy splits into fresh pooled packets.
-    wire_send(dst, net::kAggregateTag, wire, wire.meta(), /*shared=*/true);
-    return true;
-  };
-  auto send_one = [&](OutMsg& m) {
+  auto send_one = [&](const OutMsg& m) {
     ++frames;
     frame_bytes += static_cast<long long>(m.p.size());
-    if (cap == 0) {  // coalescing off: one wire message per frame
-      wire_send(m.dst_node, m.tag, m.p, m.p.meta(), /*shared=*/false);
+    if (rel) {
+      rel->send(m.dst_node, m.tag, m.p, m.p.meta());
       return;
     }
-    Egress& e = egress.try_emplace(m.dst_node, cap).first->second;
-    if (net::FrameStager::wire_size(m.p.size()) > cap) {
-      flush(m.dst_node, e);  // preserve per-destination order
-      wire_send(m.dst_node, m.tag, m.p, m.p.meta(), /*shared=*/false);
-      return;
-    }
-    if (!e.stager.fits(m.p.size())) flush(m.dst_node, e);
-    if (e.stager.empty()) e.deadline = Clock::now() + flush_window;
-    e.stager.add(m.tag, m.p.meta(), m.p);
-  };
-  auto flush_due = [&](Clock::time_point now) {
-    bool any = false;
-    for (auto& [dst, e] : egress) {
-      if (!e.stager.empty() && now >= e.deadline) any |= flush(dst, e);
-    }
-    return any;
-  };
-  auto flush_all = [&] {
-    bool any = false;
-    for (auto& [dst, e] : egress) any |= flush(dst, e);
-    return any;
-  };
-  /// Microseconds until the earliest staged-frame deadline, capped at
-  /// `cap_us` — bounds the idle recv_wait so a deadline flush is prompt.
-  auto next_flush_in_us = [&](Clock::time_point now, int cap_us) {
-    long long best = cap_us;
-    for (auto& [dst, e] : egress) {
-      if (e.stager.empty()) continue;
-      const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-                            e.deadline - now)
-                            .count();
-      best = std::min(best, std::max<long long>(left, 0));
-    }
-    return static_cast<int>(best);
+    const int req = comm_->isend(n.id, m.dst_node, m.tag, m.p, m.p.meta());
+    PQR_ASSERT(comm_->test(req), "proxy: isend did not complete");
   };
 
   std::deque<OutMsg> batch;
@@ -726,14 +644,14 @@ void Vsa::proxy_loop(Node& n) {
       }
     }
     // Batched outgoing drain: swap the node's whole queue out under one
-    // lock instead of one lock round-trip per message, then stage
+    // lock instead of one lock round-trip per message, then send
     // lock-free.
     batch.clear();
     {
       std::lock_guard<std::mutex> lock(n.omu);
       batch.swap(n.outq);
     }
-    for (OutMsg& m : batch) send_one(m);
+    for (const OutMsg& m : batch) send_one(m);
     any |= !batch.empty();
     // Drain all queued incoming messages in one mailbox swap.
     for (auto& m : comm_->drain(n.id)) {
@@ -747,7 +665,7 @@ void Vsa::proxy_loop(Node& n) {
       // completed or cancelled run must not ping-pong late frames between
       // exiting proxies, and a post-completion unacked frame (receiver
       // done, final ack lost) is not a failure.
-      if (!done_.load(std::memory_order_acquire) &&
+      if (timers && !done_.load(std::memory_order_acquire) &&
           !cancelled_.load(std::memory_order_acquire) &&
           !rel->poll(Clock::now())) {
         cancel_run_from_transport();
@@ -755,25 +673,13 @@ void Vsa::proxy_loop(Node& n) {
     }
     const bool winding_down = done_.load(std::memory_order_acquire) ||
                               cancelled_.load(std::memory_order_acquire);
-    // Ship staged aggregates whose deadline passed — or everything, once
-    // the run winds down (an unflushed stage would strand its frames).
-    any |= winding_down ? flush_all() : flush_due(Clock::now());
     busy += std::chrono::duration<double>(Clock::now() - t0).count();
     if (winding_down) {
       if (!any) break;
       continue;
     }
     if (!any) {
-      // Idle: no outbound frames queued and the mailbox is dry, so the
-      // pipeline is likely stalled waiting on what we staged. Flush now
-      // instead of holding to the deadline (Nagle with an idle bypass) —
-      // extra batching should cost latency only while the proxy is busy.
-      const auto f0 = Clock::now();
-      if (flush_all()) {
-        busy += std::chrono::duration<double>(Clock::now() - f0).count();
-        continue;
-      }
-      if (auto m = comm_->recv_wait(n.id, next_flush_in_us(Clock::now(), 200))) {
+      if (auto m = comm_->recv_wait(n.id, 200)) {
         const auto r0 = Clock::now();
         accept(std::move(*m));
         deliver_inbox();
@@ -784,8 +690,6 @@ void Vsa::proxy_loop(Node& n) {
   n.proxy_busy = busy;
   total_remote_msgs_.fetch_add(frames, std::memory_order_relaxed);
   total_remote_bytes_.fetch_add(frame_bytes, std::memory_order_relaxed);
-  total_coalesced_.fetch_add(coalesced, std::memory_order_relaxed);
-  total_aggregates_.fetch_add(aggregates, std::memory_order_relaxed);
   if (rel) {
     // Publish endpoint totals (and, on a failed run, link snapshots) for
     // RunStats / the RunReport; run() joins proxies before reading them.
@@ -989,8 +893,6 @@ Vsa::RunStats Vsa::node_stats(double seconds,
   s.wire_messages = comm_->messages_sent();
   s.wire_bytes = comm_->bytes_sent();
   s.fault_streams = static_cast<long long>(comm_->fault_streams());
-  s.coalesced_frames = total_coalesced_.load(std::memory_order_relaxed);
-  s.aggregates_sent = total_aggregates_.load(std::memory_order_relaxed);
   const PacketPool::Stats pool1 = PacketPool::stats();
   s.pool_hits = pool1.hits - pool0.hits;
   s.pool_misses = pool1.misses - pool0.misses;
@@ -1243,8 +1145,6 @@ void zip_counters(A& a, B& b, F&& f) {
   f(a.wire_messages, b.wire_messages);
   f(a.wire_bytes, b.wire_bytes);
   f(a.fault_streams, b.fault_streams);
-  f(a.coalesced_frames, b.coalesced_frames);
-  f(a.aggregates_sent, b.aggregates_sent);
   f(a.pool_hits, b.pool_hits);
   f(a.pool_misses, b.pool_misses);
   f(a.leftover_packets, b.leftover_packets);

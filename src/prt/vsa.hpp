@@ -82,28 +82,23 @@ class Vsa {
     /// backoff, duplicate suppression). Off by default: the fast path is
     /// untouched when disabled — proxies send raw frames exactly as
     /// before. Required for correct completion under a lossy fault_plan.
+    /// Retransmit timers are armed only where a frame can be lost: when
+    /// fault_plan.drop > 0 or crash recovery is active (max_respawns > 0).
+    /// Both backends are ordered, reliable streams, and dup, delay and
+    /// reorder never lose a frame, so elsewhere the protocol only
+    /// sequences, acks and deduplicates.
     bool reliable_transport = false;
     /// Deterministic fault injection applied to every inter-node frame
     /// (including protocol acks and retransmissions). A default
     /// (all-zero) plan leaves the transport untouched.
     net::FaultPlan fault_plan;
     /// Initial retransmit timeout of the reliable protocol; doubles per
-    /// retry (exponential backoff).
+    /// retry (exponential backoff). Only read where retransmit timers are
+    /// armed (see reliable_transport).
     int retransmit_timeout_us = 2000;
     /// Retransmissions per frame before the link is declared failed and
     /// the run torn down with a RunError.
     int max_retransmits = 10;
-    /// Per-destination egress coalescing: each proxy stages outbound
-    /// frames per destination rank and ships them as one aggregate wire
-    /// message of up to this many bytes (one fault-plan decision and, under
-    /// reliable_transport, one sequence number per aggregate). Frames too
-    /// large to ever fit are sent directly, after flushing the stage to
-    /// preserve per-destination order. 0 disables coalescing (every frame
-    /// is its own wire message, as before).
-    std::size_t coalesce_bytes = 64 * 1024;
-    /// Deadline for a non-full staged aggregate: a proxy flushes any
-    /// destination whose oldest staged frame has waited this long.
-    int coalesce_flush_us = 50;
     /// Transport backend for inter-node traffic (see prt::Transport).
     /// Socket mode forks one process per node at run(); for results to
     /// reach the parent it needs process hooks (set_process_hooks) or
@@ -141,17 +136,15 @@ class Vsa {
     double seconds = 0.0;
     long long fires = 0;
     /// Application frames crossing node boundaries (counted by the sending
-    /// proxies) and their payload bytes — independent of how the transport
-    /// packages them on the wire.
+    /// proxies) and their payload bytes.
     long long remote_messages = 0;
     long long remote_bytes = 0;
-    /// What actually hit the wire: aggregates count once however many
-    /// frames they carry, and wire_bytes includes framing headers. With
-    /// coalescing off, wire_messages == remote_messages (+ protocol acks).
-    /// wire_offered counts isend calls accepted from callers BEFORE the
-    /// fault plan decided their fate; under chaos the accounting
-    /// invariant wire_messages == wire_offered - faults.dropped +
-    /// faults.duplicated holds (absent cancels).
+    /// What actually hit the wire: every application frame is its own
+    /// wire message, so wire_messages == remote_messages plus protocol
+    /// acks and retransmissions. wire_offered counts isend calls accepted
+    /// from callers BEFORE the fault plan decided their fate; under chaos
+    /// the accounting invariant wire_messages == wire_offered -
+    /// faults.dropped + faults.duplicated holds (absent cancels).
     long long wire_offered = 0;
     long long wire_messages = 0;
     long long wire_bytes = 0;
@@ -159,15 +152,17 @@ class Vsa {
     /// the current plan — bounded by the run's topology and reset per
     /// plan install (debug visibility for the stream-counter map).
     long long fault_streams = 0;
-    long long coalesced_frames = 0;  ///< frames shipped inside aggregates
-    long long aggregates_sent = 0;   ///< aggregate wire messages
+    /// Always 0: every inter-node frame is its own wire message. Kept
+    /// only because the perfbench layer harness still reads it; it is
+    /// neither carried in the node stats codec nor merged.
+    long long coalesced_frames = 0;
     // Packet-pool health for this run (steady state: misses stop growing).
     long long pool_hits = 0;
     long long pool_misses = 0;
     int leftover_packets = 0;
     std::vector<double> busy_per_thread;
     /// Seconds each node's proxy spent doing transport work (sending,
-    /// draining, splitting aggregates) — the runtime's communication cost.
+    /// draining, routing) — the runtime's communication cost.
     std::vector<double> proxy_busy_per_node;
     // Transport health (all zero on a clean, fault-free run).
     net::FaultCounters faults;           ///< injected by Config::fault_plan
@@ -406,11 +401,9 @@ class Vsa {
   // run() can build the RunReport after joining them).
   std::atomic<bool> transport_failed_{false};
   // Egress accounting, published by proxies at exit: application frames
-  // and payload bytes sent, and how many went inside aggregates.
+  // and payload bytes sent.
   std::atomic<long long> total_remote_msgs_{0};
   std::atomic<long long> total_remote_bytes_{0};
-  std::atomic<long long> total_coalesced_{0};
-  std::atomic<long long> total_aggregates_{0};
   std::atomic<long long> total_retransmits_{0};
   std::atomic<long long> total_dups_suppressed_{0};
   std::atomic<long long> total_acks_sent_{0};

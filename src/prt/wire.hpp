@@ -1,7 +1,6 @@
 // Explicit little-endian wire codec shared by every byte format the
-// transport puts on (or prepares for) a wire: the aggregate frame headers
-// of FrameStager/FrameCursor, the socket transport's frame headers, and
-// the control-plane blobs (stats epilogues, failure reports, result
+// transport puts on a wire: the socket transport's frame headers and the
+// control-plane blobs (stats epilogues, failure reports, result
 // deposits) exchanged between node processes.
 //
 // Every value is written byte-by-byte in little-endian order, never by

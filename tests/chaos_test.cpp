@@ -397,37 +397,46 @@ TEST(ChaosTest, LossWithoutReliableTripsWatchdogWithFaultCounters) {
   }
 }
 
+// A fault-free fabric loses nothing, so the protocol arms no retransmit
+// timer there: zero retransmissions and zero suppressed duplicates at the
+// default RTO, however loaded the machine. The second shape (2048x256,
+// nb 32) runs for many RTOs with frames in flight, so an armed 2 ms
+// timer would fire on it.
 TEST(ChaosTest, ReliableTransportIsInertOnACleanFabric) {
-  Matrix a0(40, 10);
-  fill_random(a0.view(), 13);
-  TileMatrix a = TileMatrix::from_dense(a0.view(), 5);
-  auto reference = ref::tree_qr(TileMatrix::from_dense(a0.view(), 5), 2,
-                                chaos_qr_options(2, 2).tree);
-  auto opt = chaos_qr_options(2, 2);
-  opt.reliable_transport = true;  // protocol on, zero faults
-  // Huge RTO: a clean fabric must never time out, so the run is free of
-  // retransmissions even on a heavily loaded (e.g. TSan) machine.
-  opt.retransmit_timeout_us = 60'000'000;
-  auto run = vsaqr::tree_qr(a, opt);
-  EXPECT_EQ(run.stats.retransmits, 0);
-  EXPECT_EQ(run.stats.faults.total(), 0);
-  EXPECT_EQ(run.stats.duplicates_suppressed, 0);
-  EXPECT_EQ(run.stats.leftover_packets, 0);
-  for (int j = 0; j < run.factors.a.cols(); ++j) {
-    for (int i = 0; i < run.factors.a.rows(); ++i) {
-      ASSERT_EQ(run.factors.a.at(i, j), reference.a.at(i, j))
-          << "factors differ at (" << i << "," << j << ")";
+  struct Shape {
+    int m, n, nb, ib;
+  };
+  for (const Shape& sh : {Shape{40, 10, 5, 2}, Shape{2048, 256, 32, 8}}) {
+    SCOPED_TRACE(testing::Message() << sh.m << "x" << sh.n << " nb " << sh.nb);
+    Matrix a0(sh.m, sh.n);
+    fill_random(a0.view(), 13);
+    auto opt = chaos_qr_options(2, 2);
+    opt.ib = sh.ib;
+    opt.reliable_transport = true;  // protocol on, zero faults, default RTO
+    const auto reference =
+        ref::tree_qr(TileMatrix::from_dense(a0.view(), sh.nb), sh.ib, opt.tree);
+    TileMatrix a = TileMatrix::from_dense(a0.view(), sh.nb);
+    auto run = vsaqr::tree_qr(a, opt);
+    EXPECT_EQ(run.stats.retransmits, 0);
+    EXPECT_EQ(run.stats.faults.total(), 0);
+    EXPECT_EQ(run.stats.duplicates_suppressed, 0);
+    EXPECT_EQ(run.stats.leftover_packets, 0);
+    for (int j = 0; j < run.factors.a.cols(); ++j) {
+      for (int i = 0; i < run.factors.a.rows(); ++i) {
+        ASSERT_EQ(run.factors.a.at(i, j), reference.a.at(i, j))
+            << "factors differ at (" << i << "," << j << ")";
+      }
     }
   }
 }
 
-// ---- coalesced aggregates under chaos ---------------------------------------
+// ---- raw frames under chaos ------------------------------------------------
 
-// Fault injection applies per WIRE frame, so a dropped / duplicated /
-// reordered aggregate hits every application frame inside it at once and
-// one retransmission must repair them all. Three shapes, several seeds
-// each, bitwise against the fault-free sequential reference.
-TEST(ChaosTest, CoalescedAggregatesSurviveChaos) {
+// Fault injection applies per wire frame, and every application frame is
+// its own wire message: drops, duplicates and reorders hit single frames,
+// and the protocol must repair each. Three shapes, several seeds each,
+// bitwise against the fault-free sequential reference.
+TEST(ChaosTest, RawFramesSurviveChaos) {
   struct Shape {
     int m, n, nb, ib;
     plan::PlanConfig tree;
@@ -441,76 +450,51 @@ TEST(ChaosTest, CoalescedAggregatesSurviveChaos) {
       {30, 10, 5, 5, {plan::TreeKind::Flat, 1,
                       plan::BoundaryMode::Fixed}, 2, 2},
   };
-  long long total_aggregates = 0;
+  struct Case {
+    std::size_t shape;
+    int matrix_seed;
+    std::uint64_t fault_seed;
+  };
+  std::vector<Case> cases;
   for (std::size_t which = 0; which < shapes.size(); ++which) {
-    const auto& sh = shapes[which];
-    Matrix a0(sh.m, sh.n);
-    fill_random(a0.view(), 700 + static_cast<int>(which));
-    const auto reference =
-        ref::tree_qr(TileMatrix::from_dense(a0.view(), sh.nb), sh.ib, sh.tree);
     for (int s = 0; s < 4; ++s) {
-      TileMatrix a = TileMatrix::from_dense(a0.view(), sh.nb);
-      vsaqr::TreeQrOptions opt;
-      opt.tree = sh.tree;
-      opt.ib = sh.ib;
-      opt.nodes = sh.nodes;
-      opt.workers_per_node = sh.workers;
-      opt.watchdog_seconds = 60.0;
-      opt.reliable_transport = true;
-      opt.retransmit_timeout_us = 800;
-      opt.max_retransmits = 30;
-      opt.coalesce_bytes = 64 * 1024;  // explicit: aggregates on the wire
-      opt.coalesce_flush_us = 50;
-      opt.fault_plan.seed = 4000 + static_cast<std::uint64_t>(s) +
-                            10 * static_cast<std::uint64_t>(which);
-      opt.fault_plan.drop = 0.10;
-      opt.fault_plan.dup = 0.10;
-      opt.fault_plan.reorder = 0.10;
-
-      auto run = vsaqr::tree_qr(a, opt);
-      EXPECT_GT(run.stats.coalesced_frames, 0);
-      total_aggregates += run.stats.aggregates_sent;
-      ASSERT_EQ(run.stats.leftover_packets, 0)
-          << "seed " << opt.fault_plan.seed;
-      for (int j = 0; j < reference.a.cols(); ++j) {
-        for (int i = 0; i < reference.a.rows(); ++i) {
-          ASSERT_EQ(run.factors.a.at(i, j), reference.a.at(i, j))
-              << "seed " << opt.fault_plan.seed << " diverged at (" << i
-              << "," << j << ")";
-        }
-      }
+      cases.push_back({which, 700 + static_cast<int>(which),
+                       4000 + static_cast<std::uint64_t>(s) +
+                           10 * static_cast<std::uint64_t>(which)});
     }
   }
-  EXPECT_GT(total_aggregates, 0) << "chaos never saw an aggregate frame";
-}
+  cases.push_back({0, 21, 77});
+  for (const Case& c : cases) {
+    const auto& sh = shapes[c.shape];
+    SCOPED_TRACE(testing::Message() << "shape " << c.shape << " fault seed "
+                                    << c.fault_seed);
+    Matrix a0(sh.m, sh.n);
+    fill_random(a0.view(), c.matrix_seed);
+    const auto reference =
+        ref::tree_qr(TileMatrix::from_dense(a0.view(), sh.nb), sh.ib, sh.tree);
+    TileMatrix a = TileMatrix::from_dense(a0.view(), sh.nb);
+    vsaqr::TreeQrOptions opt;
+    opt.tree = sh.tree;
+    opt.ib = sh.ib;
+    opt.nodes = sh.nodes;
+    opt.workers_per_node = sh.workers;
+    opt.watchdog_seconds = 60.0;
+    opt.reliable_transport = true;
+    opt.retransmit_timeout_us = 800;
+    opt.max_retransmits = 30;
+    opt.fault_plan.seed = c.fault_seed;
+    opt.fault_plan.drop = 0.10;
+    opt.fault_plan.dup = 0.10;
+    opt.fault_plan.reorder = 0.10;
 
-// The uncoalesced path (coalesce_bytes = 0) is still the wire format of
-// record for oversized frames; it must keep repairing losses too.
-TEST(ChaosTest, RawPathWithoutCoalescingStillRepairs) {
-  Matrix a0(40, 10);
-  fill_random(a0.view(), 21);
-  const auto tree = chaos_qr_options(2, 2).tree;
-  const auto reference =
-      ref::tree_qr(TileMatrix::from_dense(a0.view(), 5), 2, tree);
-  TileMatrix a = TileMatrix::from_dense(a0.view(), 5);
-  auto opt = chaos_qr_options(2, 2);
-  opt.reliable_transport = true;
-  opt.retransmit_timeout_us = 800;
-  opt.max_retransmits = 30;
-  opt.coalesce_bytes = 0;  // every frame is its own wire message
-  opt.fault_plan.seed = 77;
-  opt.fault_plan.drop = 0.10;
-  opt.fault_plan.dup = 0.10;
-  opt.fault_plan.reorder = 0.10;
-  auto run = vsaqr::tree_qr(a, opt);
-  EXPECT_EQ(run.stats.aggregates_sent, 0);
-  EXPECT_EQ(run.stats.coalesced_frames, 0);
-  EXPECT_GT(run.stats.remote_messages, 0);
-  ASSERT_EQ(run.stats.leftover_packets, 0);
-  for (int j = 0; j < reference.a.cols(); ++j) {
-    for (int i = 0; i < reference.a.rows(); ++i) {
-      ASSERT_EQ(run.factors.a.at(i, j), reference.a.at(i, j))
-          << "diverged at (" << i << "," << j << ")";
+    auto run = vsaqr::tree_qr(a, opt);
+    EXPECT_GT(run.stats.remote_messages, 0);
+    ASSERT_EQ(run.stats.leftover_packets, 0);
+    for (int j = 0; j < reference.a.cols(); ++j) {
+      for (int i = 0; i < reference.a.rows(); ++i) {
+        ASSERT_EQ(run.factors.a.at(i, j), reference.a.at(i, j))
+            << "diverged at (" << i << "," << j << ")";
+      }
     }
   }
 }

@@ -286,14 +286,12 @@ TEST(Comm, BarrierImmediateReentryStress) {
 
 TEST(Tags, RegistryClassifiesReservedValues) {
   static_assert(net::is_reserved_tag(net::kPureAckTag));
-  static_assert(net::is_reserved_tag(net::kAggregateTag));
   static_assert(!net::is_reserved_tag(net::kFirstUserTag));
   static_assert(!net::is_reserved_tag(7));
   EXPECT_STREQ(net::reserved_tag_name(net::kPureAckTag),
                "reliable-protocol pure ack");
-  EXPECT_STREQ(net::reserved_tag_name(net::kAggregateTag),
-               "coalesced aggregate");
   EXPECT_EQ(net::reserved_tag_name(0), nullptr);
+  EXPECT_EQ(net::reserved_tag_name(-2), nullptr);
   EXPECT_EQ(net::reserved_tag_name(-3), nullptr);
 }
 
@@ -326,25 +324,22 @@ TEST(Tags, IsendRejectsReservedAndNegativeTags) {
 TEST(Tags, IsendAcceptsTheReservedTagsOnlyForTheirOwners) {
   net::MailboxComm comm(2);
   const Packet p = Packet::make(8);
-  // Aggregates are proxy traffic, pure acks are protocol traffic; both
-  // remain sendable through their designated code paths.
-  EXPECT_NO_THROW(comm.isend(0, 1, net::kAggregateTag, p, 1));
+  // Pure acks are protocol traffic, sendable as acks only.
+  EXPECT_THROW(comm.isend(0, 1, net::kPureAckTag, p, 1), Error);
   EXPECT_NO_THROW(
       comm.isend(0, 1, net::kPureAckTag, Packet(), 0, -1, 3, true));
   // An "ack" with a data tag is a protocol bug, not an application one.
   EXPECT_THROW(comm.isend(0, 1, 4, Packet(), 0, -1, 3, true), Error);
 }
 
-TEST(Tags, ReliableSendAndStagerRejectReservedTags) {
+TEST(Tags, ReliableSendRejectsReservedTags) {
   net::MailboxComm comm(2);
   net::Reliable rel(comm, 0, {});
   const Packet p = Packet::make(8);
   EXPECT_THROW(rel.send(1, net::kPureAckTag, p, 0), Error);
+  EXPECT_THROW(rel.send(1, -2, p, 0), Error);
   EXPECT_THROW(rel.send(1, -9, p, 0), Error);
-  net::FrameStager stager(256);
-  EXPECT_THROW(stager.add(net::kAggregateTag, 0, p), Error);  // no nesting
-  EXPECT_THROW(stager.add(net::kPureAckTag, 0, p), Error);
-  EXPECT_NO_THROW(stager.add(0, 0, p));
+  EXPECT_NO_THROW(rel.send(1, 0, p, 0));
 }
 
 TEST(Channel, PushedPoppedCounters) {

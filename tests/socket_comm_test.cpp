@@ -99,6 +99,23 @@ TEST(SocketCommTest, SelfSendStaysLocal) {
   EXPECT_EQ(all[1].meta, 13);
 }
 
+// Both backends run one tag gate (prt/tags.hpp): negative data tags and
+// acks under a data tag are refused before anything reaches the wire.
+TEST(SocketCommTest, SharesTheTagGateWithTheInProcessBackend) {
+  Pair p;
+  MailboxComm mailbox(2);
+  for (prt::net::Comm* comm :
+       {static_cast<prt::net::Comm*>(p.a.get()),
+        static_cast<prt::net::Comm*>(&mailbox)}) {
+    EXPECT_THROW(comm->isend(0, 1, prt::net::kPureAckTag, Packet::make(8), 0),
+                 Error);
+    EXPECT_THROW(comm->isend(0, 1, -2, Packet::make(8), 0), Error);
+    EXPECT_THROW(comm->isend(0, 1, 4, Packet(), 0, -1, 3, /*is_ack=*/true),
+                 Error);
+    EXPECT_EQ(comm->messages_offered(), 0);
+  }
+}
+
 TEST(SocketCommTest, StreamOrderIsPreservedPerPeer) {
   Pair p;
   for (int i = 0; i < 200; ++i) p.a->isend(0, 1, 2, Packet::make(8), i);
@@ -246,7 +263,6 @@ TEST(SocketVsaTest, TransportParityOfStatsAndFactors) {
   Matrix a0(40, 10);
   fill_random(a0.view(), 23);
   auto opt = socket_qr_options(2, 2);
-  opt.coalesce_bytes = 0;  // one wire message per application frame
   opt.reliable_transport = false;
   opt.transport = prt::Transport::InProcess;
   const auto inproc = vsaqr::tree_qr(TileMatrix::from_dense(a0.view(), 5), opt);
@@ -283,8 +299,7 @@ TEST(SocketVsaTest, ThreeNodesWithReliableProtocolStayCorrect) {
   opt.workers_per_node = 1;
   opt.watchdog_seconds = 60.0;
   opt.transport = prt::Transport::Socket;
-  opt.reliable_transport = true;
-  opt.retransmit_timeout_us = 60'000'000;  // clean fabric: never fires
+  opt.reliable_transport = true;  // default RTO: a clean fabric arms no timer
   const auto reference =
       ref::tree_qr(TileMatrix::from_dense(a0.view(), 6), 3, opt.tree);
   TileMatrix a = TileMatrix::from_dense(a0.view(), 6);

@@ -432,8 +432,6 @@ const BadConfig kBadConfigs[] = {
      "max_retransmits"},
     {"NegativeMaxRespawns", [](Vsa::Config& c) { c.max_respawns = -1; },
      "max_respawns"},
-    {"NegativeFlush", [](Vsa::Config& c) { c.coalesce_flush_us = -1; },
-     "coalesce_flush_us"},
     {"NegativeDelayUs", [](Vsa::Config& c) { c.fault_plan.delay_us = -1; },
      "fault_plan.delay_us"},
     {"NegativeWatchdog", [](Vsa::Config& c) { c.watchdog_seconds = -1.0; },

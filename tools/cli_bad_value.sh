@@ -34,6 +34,9 @@ cases=(
   "batch|--sched lazzy|--sched: 'lazzy'"
   "simulate|--nb 0|--nb: '0'"
   "simulate|--algo qrr|--algo: 'qrr'"
+  # Removed flags are unknown flags now, refused by name like any other.
+  "factor|--coalesce-bytes 0|unknown flag(s) for pqr factor: --coalesce-bytes"
+  "factor|--flush-us 50|unknown flag(s) for pqr factor: --flush-us"
 )
 for c in "${cases[@]}"; do
   IFS='|' read -r cmd flags want <<<"$c"

@@ -19,7 +19,6 @@
 //                 --chaos-seed 42 --drop 0.05 --dup 0.05 --reorder 0.1
 //                 --delay 0.1 --delay-us 200 --reliable
 //                 --rto-us 2000 --max-retransmits 10
-//                 --coalesce-bytes 65536 --flush-us 50
 //                 --max-respawns 0 --replay-log-mb 64 --hb-timeout 10
 //                 --kill-node -1 --kill-after 0
 // and every command also takes --kernel-isa auto|avx512|avx2|neon|scalar.
@@ -27,6 +26,9 @@
 // The chaos flags install a deterministic FaultPlan on the inter-node
 // transport (same seed => same fault schedule); --reliable layers the
 // ack/retransmit protocol on top so the run still completes correctly.
+// Every inter-node frame is its own wire message; --reliable arms its
+// retransmit timers (--rto-us) only where a frame can be lost: with
+// --drop > 0 or --max-respawns > 0.
 // Under --transport socket, --kill-node R --kill-after F SIGKILLs rank R's
 // node process after F firings and --max-respawns N lets the run absorb up
 // to N such deaths by respawning (requires --reliable). `batch` runs
@@ -236,10 +238,6 @@ void runtime_options(prt::Vsa::Config& opt, const Args& a) {
       << 20;
   opt.heartbeat_timeout_seconds =
       a.getd("hb-timeout", opt.heartbeat_timeout_seconds);
-  // Egress coalescing (--coalesce-bytes 0 turns it off).
-  opt.coalesce_bytes = static_cast<std::size_t>(
-      a.geti("coalesce-bytes", static_cast<int>(opt.coalesce_bytes), 0));
-  opt.coalesce_flush_us = a.geti("flush-us", opt.coalesce_flush_us);
   try {
     opt.validate();
   } catch (const Error& e) {
@@ -295,10 +293,9 @@ int cmd_factor(const Args& a) {
               run.channel_count, run.stats.remote_messages,
               run.stats.remote_bytes / 1e6);
   if (run.stats.remote_messages > 0) {
-    std::printf("datapath: wire_msgs=%lld (%.1f MB) coalesced=%lld in %lld "
-                "aggregates | pool hits=%lld misses=%lld\n",
+    std::printf("datapath: wire_msgs=%lld (%.1f MB) | pool hits=%lld "
+                "misses=%lld\n",
                 run.stats.wire_messages, run.stats.wire_bytes / 1e6,
-                run.stats.coalesced_frames, run.stats.aggregates_sent,
                 run.stats.pool_hits, run.stats.pool_misses);
   }
   if (opt.fault_plan.any() || opt.reliable_transport) {
