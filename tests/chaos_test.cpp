@@ -499,6 +499,38 @@ TEST(ChaosTest, RawFramesSurviveChaos) {
   }
 }
 
+// The shapes above move tiles of at most 6x6 doubles. Here every tile
+// frame is 8 KiB (nb 32), so each drop, duplicate or reorder hits a
+// frame many times the size of a control message, and a single lost
+// frame stalls a whole tile update until its retransmission lands.
+TEST(ChaosTest, LargeTileFramesSurviveChaos) {
+  Matrix a0(512, 128);
+  fill_random(a0.view(), 31);
+  auto opt = chaos_qr_options(2, 2);
+  opt.ib = 8;
+  const auto reference =
+      ref::tree_qr(TileMatrix::from_dense(a0.view(), 32), opt.ib, opt.tree);
+  TileMatrix a = TileMatrix::from_dense(a0.view(), 32);
+  opt.reliable_transport = true;
+  opt.retransmit_timeout_us = 800;
+  opt.max_retransmits = 30;
+  opt.fault_plan.seed = 91;
+  opt.fault_plan.drop = 0.10;
+  opt.fault_plan.dup = 0.10;
+  opt.fault_plan.reorder = 0.10;
+  auto run = vsaqr::tree_qr(a, opt);
+  EXPECT_GT(run.stats.remote_messages, 0);
+  EXPECT_GT(run.stats.faults.dropped, 0);
+  EXPECT_GT(run.stats.retransmits, 0);
+  ASSERT_EQ(run.stats.leftover_packets, 0);
+  for (int j = 0; j < reference.a.cols(); ++j) {
+    for (int i = 0; i < reference.a.rows(); ++i) {
+      ASSERT_EQ(run.factors.a.at(i, j), reference.a.at(i, j))
+          << "diverged at (" << i << "," << j << ")";
+    }
+  }
+}
+
 // ---- the chaos soak ---------------------------------------------------------
 
 struct SoakShape {

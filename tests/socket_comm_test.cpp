@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "blas/blas.hpp"
 #include "common/rng.hpp"
 #include "prt/transport.hpp"
@@ -124,6 +126,105 @@ TEST(SocketCommTest, StreamOrderIsPreservedPerPeer) {
     ASSERT_TRUE(m.has_value()) << "message " << i << " never arrived";
     EXPECT_EQ(m->meta, i);  // SOCK_STREAM + in-order parse
   }
+}
+
+// Every frame is its own wire message, so an empty payload is a
+// header-only frame; the reader must not wait for payload bytes that
+// never come, nor merge the next header into it.
+TEST(SocketCommTest, ZeroByteFramesSurvive) {
+  Pair p;
+  p.a->isend(0, 1, /*tag=*/9, Packet::make(0), /*meta=*/42);
+  p.a->isend(0, 1, /*tag=*/10, Packet(), /*meta=*/43);
+  Packet one = Packet::make(1);
+  one.bytes()[0] = std::byte{0x5A};
+  p.a->isend(0, 1, /*tag=*/11, one, /*meta=*/44);
+  for (int i = 0; i < 3; ++i) {
+    auto m = p.b->recv_wait(1, 2'000'000);
+    ASSERT_TRUE(m.has_value()) << "frame " << i << " never arrived";
+    EXPECT_EQ(m->tag, 9 + i);
+    EXPECT_EQ(m->meta, 42 + i);
+    ASSERT_EQ(prt::net::Comm::get_count(*m), i < 2 ? 0u : 1u);
+    if (i == 2) {
+      EXPECT_EQ(m->payload.bytes()[0], std::byte{0x5A});
+    }
+  }
+  EXPECT_EQ(p.a->bytes_sent(), 1);
+}
+
+// Byte-exact golden frame, read off the raw socket: the 48-byte header
+// is explicit little-endian (wire.hpp), not a memcpy of host integers,
+// so a frame sent from any host must produce exactly these bytes.
+// Catches a regression to host-endian headers, which would still pass
+// every round-trip test on x86.
+TEST(SocketCommTest, GoldenFrameBytesAreLittleEndian) {
+  auto mesh = SocketComm::socketpair_mesh(2);
+  const int raw = mesh[1][0];  // rank 1's end of the 0 <-> 1 socket
+  unsigned char got[SocketComm::kFrameHeaderBytes + 3] = {};
+  {
+    SocketComm a(2, 0, mesh[0], /*epoch=*/5);
+    Packet p = Packet::make(3);
+    p.bytes()[0] = std::byte{0xAA};
+    p.bytes()[1] = std::byte{0xBB};
+    p.bytes()[2] = std::byte{0xCC};
+    a.isend(0, 1, /*tag=*/0x01020304, p, /*meta=*/-2,
+            /*seq=*/0x0102030405060708LL, /*ack=*/-1, /*is_ack=*/false);
+    std::size_t have = 0;
+    while (have < sizeof(got)) {
+      const ssize_t n = ::read(raw, got + have, sizeof(got) - have);
+      ASSERT_GT(n, 0) << "socket closed after " << have << " bytes";
+      have += static_cast<std::size_t>(n);
+    }
+  }
+  ::close(raw);
+  const unsigned char golden[SocketComm::kFrameHeaderBytes + 3] = {
+      0x00, 0x00, 0x00, 0x00,                          // kind = data
+      0x00, 0x00, 0x00, 0x00,                          // flags: not an ack
+      0x00, 0x00, 0x00, 0x00,                          // source = 0
+      0x04, 0x03, 0x02, 0x01,                          // tag, LE
+      0xFE, 0xFF, 0xFF, 0xFF,                          // meta = -2, LE
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload length
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // seq, LE
+      0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // ack = -1
+      0x05, 0x00, 0x00, 0x00,                          // epoch = 5
+      0xAA, 0xBB, 0xCC,                                // payload
+  };
+  for (std::size_t i = 0; i < sizeof(golden); ++i) {
+    EXPECT_EQ(got[i], golden[i]) << "byte " << i;
+  }
+}
+
+// A tile of nb = 128 doubles is 128 KiB, and a frame far larger than the
+// socket's kernel buffer leaves the writer and the receiver thread in
+// several partial reads and writes. Each frame must still arrive whole,
+// in order, and unmixed with its neighbours.
+TEST(SocketCommTest, FramesLargerThanTheSocketBufferArriveWhole) {
+  Pair p;
+  constexpr std::size_t kBytes = 3 * 1024 * 1024 + 5;  // odd on purpose
+  constexpr int kFrames = 3;
+  // The receiver thread drains the socket on its own, so the blocking
+  // writes below complete before anything is taken from the mailbox.
+  for (int f = 0; f < kFrames; ++f) {
+    Packet big = Packet::make(kBytes);
+    for (std::size_t b = 0; b < kBytes; ++b) {
+      big.bytes()[b] = static_cast<std::byte>((b * 131 + f) & 0xff);
+    }
+    p.a->isend(0, 1, /*tag=*/3, big, /*meta=*/f);
+  }
+  for (int f = 0; f < kFrames; ++f) {
+    auto m = p.b->recv_wait(1, 10'000'000);
+    ASSERT_TRUE(m.has_value()) << "frame " << f << " never arrived";
+    EXPECT_EQ(m->meta, f);
+    ASSERT_EQ(prt::net::Comm::get_count(*m), kBytes);
+    std::size_t bad = 0;
+    for (std::size_t b = 0; b < kBytes; ++b) {
+      if (m->payload.bytes()[b] !=
+          static_cast<std::byte>((b * 131 + f) & 0xff)) {
+        ++bad;
+      }
+    }
+    EXPECT_EQ(bad, 0u) << "frame " << f;
+  }
+  EXPECT_EQ(p.a->bytes_sent(), static_cast<long long>(kFrames * kBytes));
 }
 
 TEST(SocketCommTest, InterruptWakesABlockedReceiver) {
