@@ -6,7 +6,6 @@
 #include "blas/blas.hpp"
 #include "lapack/cholesky.hpp"
 #include "vsaqr/codec.hpp"
-#include "vsaqr/deposit_log.hpp"
 
 namespace pulsarqr::chol {
 
@@ -21,16 +20,16 @@ using vsaqr::tile_view;
 Tuple p_tuple(int k) { return Tuple{0, k}; }
 Tuple s_tuple(int k, int j) { return Tuple{1, k, j}; }
 
-/// Thread-safe store for the finalized L tiles (one writer per tile).
-/// The overwrite-copy put is naturally idempotent, so crash-recovery
-/// replays of shipped deposits need no extra discipline here.
+/// Store for the finalized L tiles (one writer per tile), in shared
+/// memory so socket node processes deposit straight into the caller's
+/// matrix. The overwrite-copy put is naturally idempotent: a respawned
+/// node rewriting a tile its killed incarnation wrote (or tore) needs no
+/// extra discipline here.
 struct CholStore {
   explicit CholStore(TileMatrix l) : l(std::move(l)) {}
   TileMatrix l;
-  vsaqr::TileDepositLog dlog;  ///< socket transport: ships tiles home
   void put(int i, int k, ConstMatrixView tile) {
     blas::lacpy_all(tile, l.tile(i, k));
-    dlog.record(i, k);
   }
 };
 
@@ -108,23 +107,9 @@ class Builder {
   Builder(const TileMatrix& a, const VsaCholOptions& opt)
       : a_(a), vsa_(opt) {
     require(a.rows() == a.cols(), "vsa_cholesky: matrix must be square");
-    store_ = std::make_shared<CholStore>(TileMatrix(a.rows(), a.cols(),
-                                                    a.nb()));
+    store_ = std::make_shared<CholStore>(
+        TileMatrix::shared(a.rows(), a.cols(), a.nb()));
     vsa_.set_global(store_);
-    if (opt.transport == prt::Transport::Socket) {
-      // Each node process fills its own copy-on-write store; the deposit
-      // log ships every child's L tiles back for the parent to merge.
-      store_->dlog.enable();
-      auto store = store_;
-      vsa_.set_process_hooks(
-          [store] { return store->dlog.serialize(store->l); },
-          [store](int, const Packet& blob) {
-            vsaqr::TileDepositLog::apply(
-                blob, [&store](int i, int j, ConstMatrixView v) {
-                  store->put(i, j, v);
-                });
-          });
-    }
     bytes_ = vsaqr::tile_packet_bytes(a.nb(), a.nb());
   }
 

@@ -24,8 +24,8 @@
 namespace pulsarqr::chol {
 
 /// The array has no options of its own: every field is a runtime one.
-/// Under the Socket transport the final L tiles reach the parent through
-/// a TileDepositLog.
+/// Under either transport the final L tiles are written in place into a
+/// shared-memory result matrix.
 using VsaCholOptions = prt::Vsa::Config;
 
 struct VsaCholRun {

@@ -6,7 +6,6 @@
 #include "blas/blas.hpp"
 #include "lapack/lu.hpp"
 #include "vsaqr/codec.hpp"
-#include "vsaqr/deposit_log.hpp"
 
 namespace pulsarqr::lu {
 
@@ -21,15 +20,15 @@ using vsaqr::tile_view;
 Tuple p_tuple(int k) { return Tuple{0, k}; }
 Tuple s_tuple(int k, int j) { return Tuple{1, k, j}; }
 
-/// Overwrite-copy deposits are naturally idempotent, so crash-recovery
-/// replays of shipped tiles need no extra discipline here.
+/// Store for the final factor tiles, in shared memory so socket node
+/// processes deposit straight into the caller's matrix. Overwrite-copy
+/// deposits are naturally idempotent, so a respawned node rewriting a
+/// tile its killed incarnation wrote (or tore) needs no extra discipline.
 struct LuStore {
   explicit LuStore(TileMatrix f) : f(std::move(f)) {}
   TileMatrix f;
-  vsaqr::TileDepositLog dlog;  ///< socket transport: ships tiles home
   void put(int i, int j, ConstMatrixView tile) {
     blas::lacpy_all(tile, f.tile(i, j));
-    dlog.record(i, j);
   }
 };
 
@@ -116,22 +115,9 @@ class Builder {
  public:
   Builder(const TileMatrix& a, const VsaLuOptions& opt)
       : a_(a), vsa_(opt) {
-    store_ = std::make_shared<LuStore>(TileMatrix(a.rows(), a.cols(), a.nb()));
+    store_ = std::make_shared<LuStore>(
+        TileMatrix::shared(a.rows(), a.cols(), a.nb()));
     vsa_.set_global(store_);
-    if (opt.transport == prt::Transport::Socket) {
-      // Each node process fills its own copy-on-write store; the deposit
-      // log ships every child's factor tiles back for the parent to merge.
-      store_->dlog.enable();
-      auto store = store_;
-      vsa_.set_process_hooks(
-          [store] { return store->dlog.serialize(store->f); },
-          [store](int, const Packet& blob) {
-            vsaqr::TileDepositLog::apply(
-                blob, [&store](int i, int j, ConstMatrixView v) {
-                  store->put(i, j, v);
-                });
-          });
-    }
     bytes_ = vsaqr::tile_packet_bytes(a.nb(), a.nb());
   }
 

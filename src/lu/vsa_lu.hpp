@@ -23,8 +23,8 @@
 namespace pulsarqr::lu {
 
 /// The array has no options of its own: every field is a runtime one.
-/// Under the Socket transport the final packed factors reach the parent
-/// through a TileDepositLog.
+/// Under either transport the final packed factors are written in place
+/// into a shared-memory result matrix.
 using VsaLuOptions = prt::Vsa::Config;
 
 struct VsaLuRun {

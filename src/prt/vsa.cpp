@@ -928,14 +928,16 @@ Vsa::RunStats Vsa::node_stats(double seconds,
 // image of the VSA (VDPs, channels, feeds, globals). Each child runs ONLY
 // its own node's workers and proxy over a SocketComm wired into a
 // pre-opened socketpair mesh; the parent runs no VDPs at all — it is the
-// control plane. Per-child results and stats travel back over a dedicated
-// control socketpair as little-endian blobs (wire.hpp).
+// control plane. Results need no transfer: VDPs deposit them into result
+// stores mapped MAP_SHARED before the fork, i.e. straight into the
+// parent's memory. Per-child stats and trace events travel back over a
+// dedicated control socketpair as little-endian blobs (wire.hpp).
 //
 // Control protocol (child c <-> parent):
 //   c -> p  'D'                    local workers finished cleanly
 //   p -> c  'G'                    every node finished; tear down
 //   p -> c  'C'                    another node failed; abandon the run
-//   c -> p  'E' u64 len  blob      success epilogue (stats + app blob)
+//   c -> p  'E' u64 len  blob      success epilogue (stats + trace)
 //   c -> p  'F' u64 len  blob      serialized RunReport (local failure)
 // A child that gets 'C' (or loses the parent) exits silently with
 // status 1; a child EOF without 'E'/'F' means it crashed outright.
@@ -1323,19 +1325,11 @@ void Vsa::child_main(int rank, std::vector<int> peer_fds, int control_fd,
     ::_exit(1);
   }
 
-  // Success epilogue: this node's stats, the application blob (collect
-  // hook) for the parent to merge, which incarnation finished, and (when
-  // tracing) the local events with this process's clock epoch so the
-  // parent can offset-align them onto one timeline.
+  // Success epilogue: this node's stats, which incarnation finished, and
+  // (when tracing) the local events with this process's clock epoch so
+  // the parent can offset-align them onto one timeline.
   net::wire::Blob b;
   encode_stats(b, stats);
-  if (collect_hook_) {
-    const Packet app = collect_hook_();
-    b.u64(app.size());
-    if (app.size() > 0) b.bytes(app.bytes(), app.size());
-  } else {
-    b.u64(0);
-  }
   b.u32(incarnation);
   b.i64(recorder_->epoch_ns());
   const std::vector<trace::Event> events =
@@ -1469,6 +1463,11 @@ Vsa::RunStats Vsa::run_socket() {
     return len == 0 || fd_read_deadline(fd, out.data(), len, deadline);
   };
 
+  // Invariant: respawn(r) runs only from handle_child_death, after
+  // waitpid has reaped rank r's dead incarnation — on the EOF,
+  // heartbeat-kill and protocol-violation paths alike. No thread of the
+  // old process can still write, so a result-store slot it left in the
+  // writing state is safe for the replacement to overwrite.
   auto respawn = [&](int r) {
     ++respawns_used;
     ++incarnation[r];
@@ -1682,13 +1681,6 @@ Vsa::RunStats Vsa::run_socket() {
     net::wire::BlobReader br(epilogue[r].data(), epilogue[r].size());
     const RunStats part = decode_stats(br);
     merge_stats(stats, part);
-    const std::uint64_t app_len = br.u64();
-    Packet app;
-    if (app_len > 0) {
-      app = Packet::make(app_len);
-      std::memcpy(app.bytes(), br.take(app_len), app_len);
-    }
-    if (merge_hook_) merge_hook_(r, app);
     if (br.u32() > 0) stats.refired_fires += part.fires;  // a respawn
     // The child's events, offset-aligned onto the parent's clock so the
     // merged timeline is coherent across processes.

@@ -100,11 +100,13 @@ class Vsa {
     /// the run torn down with a RunError.
     int max_retransmits = 10;
     /// Transport backend for inter-node traffic (see prt::Transport).
-    /// Socket mode forks one process per node at run(); for results to
-    /// reach the parent it needs process hooks (set_process_hooks) or
-    /// side effects written to files. With trace on, each child ships
-    /// its events home in the run epilogue and the parent merges them
-    /// into one clock-aligned timeline.
+    /// Socket mode forks one process per node at run(); each node
+    /// process sees a copy-on-write image of the caller's state, so
+    /// results reach the caller only through memory mapped MAP_SHARED
+    /// before the run (see Buffer::shared) — the result stores of every
+    /// array live there. With trace on, each child ships its events
+    /// home in the run epilogue and the parent merges them into one
+    /// clock-aligned timeline.
     Transport transport = Transport::InProcess;
     /// Crash recovery (Socket transport only; requires
     /// reliable_transport). How many dead node processes the parent may
@@ -273,19 +275,6 @@ class Vsa {
     return **p;
   }
 
-  /// Socket-transport result plumbing. Each node process runs with a
-  /// copy-on-write copy of the whole application state; whatever its
-  /// VDPs computed dies with it unless shipped back. `collect` runs in
-  /// each child after a clean local finish and returns an opaque blob
-  /// (the child's contribution — e.g. serialized result tiles); `merge`
-  /// runs in the parent once per child, with the child's rank and blob.
-  /// Unused (and unnecessary) under the in-process transport.
-  void set_process_hooks(std::function<Packet()> collect,
-                         std::function<void(int, const Packet&)> merge) {
-    collect_hook_ = std::move(collect);
-    merge_hook_ = std::move(merge);
-  }
-
   /// Execute the VSA to completion. Throws pulsarqr::Error on watchdog
   /// expiry (deadlocked VSA) or invalid wiring.
   RunStats run();
@@ -418,10 +407,6 @@ class Vsa {
   /// from dead incarnations, poll queued peer rejoins and probe peer
   /// liveness. Null on the in-process path and in the parent.
   net::SocketComm* sock_comm_ = nullptr;
-
-  // Socket-transport result plumbing (set_process_hooks).
-  std::function<Packet()> collect_hook_;
-  std::function<void(int, const Packet&)> merge_hook_;
 };
 
 template <class T>

@@ -1,7 +1,7 @@
 // Explicit little-endian wire codec shared by every byte format the
 // transport puts on a wire: the socket transport's frame headers and the
-// control-plane blobs (stats epilogues, failure reports, result
-// deposits) exchanged between node processes.
+// control-plane blobs (stats and trace epilogues, failure reports)
+// exchanged between node processes.
 //
 // Every value is written byte-by-byte in little-endian order, never by
 // memcpy of a host integer, so two heterogeneous hosts (or a host and a
@@ -94,7 +94,7 @@ inline RejoinHdr get_rejoin_body(const std::byte* p) {
 }
 
 /// Append-only little-endian blob builder for variable-length payloads
-/// (control-plane messages, serialized deposits and reports).
+/// (control-plane messages, epilogues and reports).
 class Blob {
  public:
   void u32(std::uint32_t v) { grow(4, [&](std::byte* p) { put_u32(p, v); }); }
@@ -108,12 +108,6 @@ class Blob {
   }
   void bytes(const std::byte* p, std::size_t n) {
     buf_.insert(buf_.end(), p, p + n);
-  }
-  /// Column-major doubles of a matrix view, each as its LE bit pattern.
-  void f64s(const double* p, std::size_t n) {
-    const std::size_t at = buf_.size();
-    buf_.resize(at + 8 * n);
-    for (std::size_t i = 0; i < n; ++i) put_f64(buf_.data() + at + 8 * i, p[i]);
   }
 
   const std::byte* data() const { return buf_.data(); }

@@ -8,24 +8,33 @@
 namespace pulsarqr::ref {
 
 TStore::TStore(int mt, int nt, int ib, int nb, int n)
+    : TStore(mt, nt, ib, nb, n, false) {}
+
+TStore TStore::shared(int mt, int nt, int ib, int nb, int n) {
+  return TStore(mt, nt, ib, nb, n, true);
+}
+
+TStore::TStore(int mt, int nt, int ib, int nb, int n, bool shared)
     : mt_(mt), nt_(nt), ib_(ib), nb_(nb), n_(n) {
-  tiles_.resize(static_cast<std::size_t>(mt) * nt);
+  const std::size_t bytes =
+      static_cast<std::size_t>(mt) * ib * n * sizeof(double);
+  buf_ = shared ? Buffer::shared(bytes) : Buffer::heap(bytes);
+}
+
+double* TStore::slot(int i, int j) const {
+  PQR_ASSERT(i >= 0 && i < mt_ && j >= 0 && j < nt_, "TStore: out of range");
+  return static_cast<double*>(buf_.data()) +
+         static_cast<std::size_t>(ib_) *
+             (static_cast<std::size_t>(mt_) * nb_ * j +
+              static_cast<std::size_t>(cols(j)) * i);
 }
 
 MatrixView TStore::t(int i, int j) {
-  PQR_ASSERT(i >= 0 && i < mt_ && j >= 0 && j < nt_, "TStore: out of range");
-  const int cols = (j == nt_ - 1) ? n_ - j * nb_ : nb_;
-  auto& buf = tiles_[i + static_cast<std::size_t>(j) * mt_];
-  if (buf.empty()) buf.assign(static_cast<std::size_t>(ib_) * cols, 0.0);
-  return MatrixView(buf.data(), ib_, cols, ib_);
+  return MatrixView(slot(i, j), ib_, cols(j), ib_);
 }
 
 ConstMatrixView TStore::t(int i, int j) const {
-  PQR_ASSERT(i >= 0 && i < mt_ && j >= 0 && j < nt_, "TStore: out of range");
-  const int cols = (j == nt_ - 1) ? n_ - j * nb_ : nb_;
-  const auto& buf = tiles_[i + static_cast<std::size_t>(j) * mt_];
-  PQR_ASSERT(!buf.empty(), "TStore: reading unwritten T tile");
-  return ConstMatrixView(buf.data(), ib_, cols, ib_);
+  return ConstMatrixView(slot(i, j), ib_, cols(j), ib_);
 }
 
 void execute_op(const plan::Op& op, TileMatrix& a, TStore& tg, TStore& tt,

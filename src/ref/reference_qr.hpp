@@ -5,24 +5,34 @@
 
 #include <vector>
 
+#include "common/buffer.hpp"
 #include "plan/reduction_plan.hpp"
 #include "tile/tile_matrix.hpp"
 
 namespace pulsarqr::ref {
 
 /// Storage for the T factors of the block reflectors: one ib-by-(panel
-/// width) tile per (tile row, panel) position.
+/// width) tile per (tile row, panel) position, zero until written, all in
+/// one buffer.
 class TStore {
  public:
   TStore() = default;
   TStore(int mt, int nt, int ib, int nb, int n);
+  /// The same store in a MAP_SHARED mapping (see TileMatrix::shared).
+  static TStore shared(int mt, int nt, int ib, int nb, int n);
   MatrixView t(int i, int j);
   ConstMatrixView t(int i, int j) const;
   int ib() const { return ib_; }
 
  private:
+  TStore(int mt, int nt, int ib, int nb, int n, bool shared);
+  int cols(int j) const { return (j == nt_ - 1) ? n_ - j * nb_ : nb_; }
+  /// Slots are packed panel by panel; panel j starts after j full-width
+  /// panels of mt slots each.
+  double* slot(int i, int j) const;
+
   int mt_ = 0, nt_ = 0, ib_ = 0, nb_ = 0, n_ = 0;
-  std::vector<std::vector<double>> tiles_;
+  Buffer buf_;
 };
 
 /// Output of a tree QR factorization. `a` holds R in the upper triangle of

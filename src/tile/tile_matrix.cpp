@@ -4,18 +4,19 @@
 
 namespace pulsarqr {
 
-TileMatrix::TileMatrix(int m, int n, int nb)
+TileMatrix::TileMatrix(int m, int n, int nb) : TileMatrix(m, n, nb, false) {}
+
+TileMatrix TileMatrix::shared(int m, int n, int nb) {
+  return TileMatrix(m, n, nb, true);
+}
+
+TileMatrix::TileMatrix(int m, int n, int nb, bool shared)
     : m_(m), n_(n), nb_(nb) {
   require(m >= 0 && n >= 0 && nb >= 1, "TileMatrix: bad dimensions");
   mt_ = (m + nb - 1) / nb;
   nt_ = (n + nb - 1) / nb;
-  tiles_.resize(static_cast<std::size_t>(mt_) * nt_);
-  for (int j = 0; j < nt_; ++j) {
-    for (int i = 0; i < mt_; ++i) {
-      tiles_[index(i, j)].assign(
-          static_cast<std::size_t>(tile_rows(i)) * tile_cols(j), 0.0);
-    }
-  }
+  const std::size_t bytes = static_cast<std::size_t>(m) * n * sizeof(double);
+  buf_ = shared ? Buffer::shared(bytes) : Buffer::heap(bytes);
 }
 
 int TileMatrix::tile_rows(int i) const {
@@ -30,17 +31,17 @@ int TileMatrix::tile_cols(int j) const {
 
 MatrixView TileMatrix::tile(int i, int j) {
   const int tr = tile_rows(i);
-  return MatrixView(tiles_[index(i, j)].data(), tr, tile_cols(j), tr);
+  return MatrixView(base() + offset(i, j), tr, tile_cols(j), tr);
 }
 
 ConstMatrixView TileMatrix::tile(int i, int j) const {
   const int tr = tile_rows(i);
-  return ConstMatrixView(tiles_[index(i, j)].data(), tr, tile_cols(j), tr);
+  return ConstMatrixView(base() + offset(i, j), tr, tile_cols(j), tr);
 }
 
-double* TileMatrix::tile_data(int i, int j) { return tiles_[index(i, j)].data(); }
+double* TileMatrix::tile_data(int i, int j) { return base() + offset(i, j); }
 const double* TileMatrix::tile_data(int i, int j) const {
-  return tiles_[index(i, j)].data();
+  return base() + offset(i, j);
 }
 
 double& TileMatrix::at(int i, int j) {

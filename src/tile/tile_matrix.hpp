@@ -3,9 +3,9 @@
 // paper relies on for cache friendliness and for shipping tiles as packets).
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
+#include "common/buffer.hpp"
 #include "common/view.hpp"
 
 namespace pulsarqr {
@@ -17,6 +17,10 @@ class TileMatrix {
   /// Create an m-by-n zero matrix with tile size nb. Boundary tiles are
   /// ragged (smaller) when nb does not divide m or n.
   TileMatrix(int m, int n, int nb);
+  /// The same zero matrix in a MAP_SHARED mapping (see Buffer::shared):
+  /// tiles written by forked child processes land in this process's
+  /// memory. Result stores use it; inputs stay private.
+  static TileMatrix shared(int m, int n, int nb);
 
   int rows() const { return m_; }
   int cols() const { return n_; }
@@ -45,11 +49,18 @@ class TileMatrix {
   Matrix to_dense() const;
 
  private:
+  TileMatrix(int m, int n, int nb, bool shared);
+  /// Tiles are packed column of tiles by column of tiles into one buffer:
+  /// tile column j starts after j full-width columns, tile i of it after
+  /// i full-height tiles.
+  std::size_t offset(int i, int j) const {
+    return static_cast<std::size_t>(m_) * nb_ * j +
+           static_cast<std::size_t>(nb_) * tile_cols(j) * i;
+  }
+  double* base() const { return static_cast<double*>(buf_.data()); }
+
   int m_ = 0, n_ = 0, nb_ = 0, mt_ = 0, nt_ = 0;
-  // One independent buffer per tile so a tile can be aliased into a Packet
-  // without copying and without pinning the whole matrix.
-  std::vector<std::vector<double>> tiles_;
-  int index(int i, int j) const { return i + j * mt_; }
+  Buffer buf_;
 };
 
 }  // namespace pulsarqr

@@ -1,25 +1,29 @@
 #include "vsaqr/result_store.hpp"
 
 #include <cstring>
+#include <new>
+#include <string>
 
 #include "blas/blas.hpp"
-#include "prt/wire.hpp"
 
 namespace pulsarqr::vsaqr {
 
 namespace {
-/// Column-major copy of a (contiguous-destination) view into a Blob.
-void blob_matrix(prt::net::wire::Blob& b, ConstMatrixView v) {
-  b.i32(v.rows);
-  b.i32(v.cols);
-  for (int j = 0; j < v.cols; ++j) b.f64s(v.col(j), v.rows);
-}
+
+// The state flags are shared between processes, which is only sound for
+// lock-free atomics (a lock would live in one process's memory).
+static_assert(std::atomic<std::uint8_t>::is_always_lock_free,
+              "ResultStore needs lock-free byte atomics in shared memory");
+
+enum : std::uint8_t { kEmpty = 0, kWriting = 1, kWritten = 2 };
+
+const char* const kSlotNames[] = {"tile", "geqrt T factors",
+                                  "tree T factors"};
 
 /// Bitwise equality of two equally-shaped views (memcmp per column: a
 /// replayed deposit must reproduce the first write exactly, including
 /// signed zeros and NaN payloads).
 bool bitwise_equal(ConstMatrixView a, ConstMatrixView b) {
-  if (a.rows != b.rows || a.cols != b.cols) return false;
   for (int j = 0; j < a.cols; ++j) {
     if (std::memcmp(a.col(j), b.col(j),
                     static_cast<std::size_t>(a.rows) * sizeof(double)) != 0) {
@@ -28,149 +32,63 @@ bool bitwise_equal(ConstMatrixView a, ConstMatrixView b) {
   }
   return true;
 }
+
 }  // namespace
 
 ResultStore::ResultStore(int m, int n, int nb, int ib)
-    : a_(m, n, nb),
-      tg_(a_.mt(), a_.nt(), ib, nb, n),
-      tt_(a_.mt(), a_.nt(), ib, nb, n),
-      ib_(ib),
-      tile_written_(static_cast<std::size_t>(a_.mt()) * a_.nt()),
-      tg_written_(static_cast<std::size_t>(a_.mt()) * a_.nt()),
-      tt_written_(static_cast<std::size_t>(a_.mt()) * a_.nt()) {
-  // Pre-touch every T slot so concurrent put_tg/put_tt never allocate the
-  // same lazily-created buffer from two threads.
-  for (int j = 0; j < a_.nt(); ++j) {
-    for (int i = 0; i < a_.mt(); ++i) {
-      (void)tg_.t(i, j);
-      (void)tt_.t(i, j);
+    : a_(TileMatrix::shared(m, n, nb)),
+      tg_(ref::TStore::shared(a_.mt(), a_.nt(), ib, nb, n)),
+      tt_(ref::TStore::shared(a_.mt(), a_.nt(), ib, nb, n)),
+      states_(
+          Buffer::shared(3 * static_cast<std::size_t>(a_.mt()) * a_.nt())) {
+  auto* flags = static_cast<std::uint8_t*>(states_.data());
+  for (std::size_t k = 0; k < states_.size(); ++k) {
+    new (flags + k) std::atomic<std::uint8_t>(kEmpty);
+  }
+}
+
+MatrixView ResultStore::view(Slot s, int i, int j) {
+  if (s == Slot::Tile) return a_.tile(i, j);
+  return (s == Slot::Tg ? tg_ : tt_).t(i, j);
+}
+
+std::atomic<std::uint8_t>& ResultStore::state(Slot s, int i, int j) const {
+  const std::size_t per_kind = static_cast<std::size_t>(a_.mt()) * a_.nt();
+  const std::size_t k = static_cast<std::size_t>(s) * per_kind + i +
+                        static_cast<std::size_t>(j) * a_.mt();
+  return *std::launder(reinterpret_cast<std::atomic<std::uint8_t>*>(
+      static_cast<std::uint8_t*>(states_.data()) + k));
+}
+
+void ResultStore::put(Slot s, int i, int j, ConstMatrixView v) {
+  const MatrixView dst = view(s, i, j);
+  PQR_ASSERT(dst.rows == v.rows && dst.cols == v.cols,
+             "ResultStore: deposit shape mismatch");
+  std::atomic<std::uint8_t>& st = state(s, i, j);
+  std::uint8_t seen = kEmpty;
+  if (!st.compare_exchange_strong(seen, kWriting)) {
+    const std::string what = std::string("ResultStore: ") +
+                             kSlotNames[static_cast<int>(s)] + " (" +
+                             std::to_string(i) + "," + std::to_string(j) + ")";
+    PQR_ASSERT(dedup_, what + " deposited twice");
+    if (seen == kWritten) {
+      PQR_ASSERT(bitwise_equal(v, dst),
+                 what + ": conflicting re-deposit (replay produced different "
+                        "content)");
+      return;  // idempotent replay
     }
+    // kWriting: torn by a killed incarnation; this deposit replaces it.
   }
+  blas::lacpy_all(v, dst);
+  st.store(kWritten);
 }
-
-void ResultStore::put_tile(int i, int j, ConstMatrixView tile) {
-  MatrixView dst = a_.tile(i, j);
-  PQR_ASSERT(dst.rows == tile.rows && dst.cols == tile.cols,
-             "ResultStore: tile shape mismatch");
-  const bool was =
-      tile_written_[i + static_cast<std::size_t>(j) * a_.mt()].exchange(true);
-  if (was) {
-    PQR_ASSERT(dedup_, "ResultStore: tile deposited twice");
-    PQR_ASSERT(bitwise_equal(tile, dst),
-               "ResultStore: conflicting re-deposit of tile (replay produced "
-               "different content)");
-    return;  // idempotent replay: already written, already logged
-  }
-  blas::lacpy_all(tile, dst);
-  log_deposit(0, i, j);
-}
-
-void ResultStore::put_tg(int i, int j, ConstMatrixView t) {
-  MatrixView dst = tg_.t(i, j);
-  const ConstMatrixView src = t.block(0, 0, dst.rows, dst.cols);
-  const bool was =
-      tg_written_[i + static_cast<std::size_t>(j) * a_.mt()].exchange(true);
-  if (was && dedup_) {
-    PQR_ASSERT(bitwise_equal(src, dst),
-               "ResultStore: conflicting re-deposit of geqrt T factors");
-    return;
-  }
-  blas::lacpy_all(src, dst);
-  if (!was) log_deposit(1, i, j);
-}
-
-void ResultStore::put_tt(int i, int j, ConstMatrixView t) {
-  MatrixView dst = tt_.t(i, j);
-  const ConstMatrixView src = t.block(0, 0, dst.rows, dst.cols);
-  const bool was =
-      tt_written_[i + static_cast<std::size_t>(j) * a_.mt()].exchange(true);
-  if (was && dedup_) {
-    PQR_ASSERT(bitwise_equal(src, dst),
-               "ResultStore: conflicting re-deposit of tree T factors");
-    return;
-  }
-  blas::lacpy_all(src, dst);
-  if (!was) log_deposit(2, i, j);
-}
-
-void ResultStore::enable_deposit_log() { log_enabled_ = true; }
 
 void ResultStore::enable_dedup() { dedup_ = true; }
-
-void ResultStore::log_deposit(std::uint8_t kind, int i, int j) {
-  if (!log_enabled_) return;
-  std::lock_guard<std::mutex> lock(log_mu_);
-  log_.push_back({kind, i, j});
-}
-
-prt::Packet ResultStore::serialize_deposits() const {
-  namespace wire = prt::net::wire;
-  std::vector<Deposit> log;
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    log = log_;
-  }
-  wire::Blob b;
-  b.u32(static_cast<std::uint32_t>(log.size()));
-  for (const Deposit& d : log) {
-    b.u32(d.kind);
-    b.i32(d.i);
-    b.i32(d.j);
-    switch (d.kind) {
-      case 0:
-        blob_matrix(b, a_.tile(d.i, d.j));
-        break;
-      case 1:
-        blob_matrix(b, tg_.t(d.i, d.j));
-        break;
-      default:
-        blob_matrix(b, tt_.t(d.i, d.j));
-        break;
-    }
-  }
-  prt::Packet out = prt::Packet::make(b.size());
-  if (b.size() > 0) std::memcpy(out.bytes(), b.data(), b.size());
-  return out;
-}
-
-void ResultStore::apply_deposits(const prt::Packet& blob) {
-  namespace wire = prt::net::wire;
-  wire::BlobReader br(blob.bytes(), blob.size());
-  const std::uint32_t count = br.u32();
-  std::vector<double> buf;
-  for (std::uint32_t k = 0; k < count; ++k) {
-    const std::uint32_t kind = br.u32();
-    const int i = br.i32();
-    const int j = br.i32();
-    const int rows = br.i32();
-    const int cols = br.i32();
-    require(rows >= 0 && cols >= 0,
-            "ResultStore::apply_deposits: corrupt deposit blob");
-    buf.resize(static_cast<std::size_t>(rows) * cols);
-    for (std::size_t e = 0; e < buf.size(); ++e) buf[e] = br.f64();
-    const ConstMatrixView v(buf.data(), rows, cols, rows);
-    // Replaying through put_* keeps the exactly-once flags authoritative
-    // across processes: two children claiming one tile still assert.
-    switch (kind) {
-      case 0:
-        put_tile(i, j, v);
-        break;
-      case 1:
-        put_tg(i, j, v);
-        break;
-      case 2:
-        put_tt(i, j, v);
-        break;
-      default:
-        require(false, "ResultStore::apply_deposits: unknown deposit kind");
-    }
-  }
-}
 
 ref::TreeQrFactors ResultStore::finish(plan::ReductionPlan plan, int ib) {
   for (int j = 0; j < a_.nt(); ++j) {
     for (int i = 0; i < a_.mt(); ++i) {
-      require(tile_written_[i + static_cast<std::size_t>(j) * a_.mt()].load(),
+      require(state(Slot::Tile, i, j).load() == kWritten,
               "ResultStore: tile (" + std::to_string(i) + "," +
                   std::to_string(j) + ") was never deposited");
     }

@@ -1,19 +1,21 @@
-// Thread-safe collection point for the factorization's outputs.
+// Collection point for the factorization's outputs, shared by threads and
+// by forked node processes.
 //
 // Tiles leave the systolic array when they become final (eliminated V
 // tiles, binary losers, and the R tiles of each step's survivor row); the
 // VDP that finalizes a tile deposits it here together with its T factors.
-// Every (i, j) slot is written exactly once, by exactly one VDP, so writes
-// are lock-free; atomic flags catch double writes and missing tiles.
+// The tile matrix, both T stores and the slots' state flags live in
+// MAP_SHARED mappings made when the store is (before any fork), so a
+// socket node process writes its deposits straight into the caller's
+// memory and the in-process transport uses the very same path. Every
+// (i, j) slot is written exactly once, by exactly one VDP, so writes are
+// lock-free; the flags catch double writes and missing tiles.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
 
-#include "prt/packet.hpp"
+#include "common/buffer.hpp"
 #include "ref/reference_qr.hpp"
 #include "tile/tile_matrix.hpp"
 
@@ -21,75 +23,48 @@ namespace pulsarqr::vsaqr {
 
 class ResultStore {
  public:
+  /// A deposit's destination: a factor tile, the geqrt T factors of a
+  /// tile, or the tsqrt/ttqrt T factors of an eliminated tile row.
+  enum class Slot : std::uint8_t { Tile = 0, Tg = 1, Tt = 2 };
+
   ResultStore(int m, int n, int nb, int ib);
 
   int mt() const { return a_.mt(); }
   int nt() const { return a_.nt(); }
 
-  /// Deposit the final content of factor tile (i, j).
-  void put_tile(int i, int j, ConstMatrixView tile);
-  /// Deposit the geqrt T factors of tile (i, j).
-  void put_tg(int i, int j, ConstMatrixView t);
-  /// Deposit the tsqrt/ttqrt T factors of eliminated row i at panel j.
-  void put_tt(int i, int j, ConstMatrixView t);
+  /// Deposit the final content of slot `s` at (i, j); `v` must have the
+  /// slot's exact shape.
+  void put(Slot s, int i, int j, ConstMatrixView v);
 
   /// Verify completeness (every tile deposited) and move the collected
   /// factors out. `plan` must describe the run that filled the store.
   ref::TreeQrFactors finish(plan::ReductionPlan plan, int ib);
 
-  // ---- socket-transport result shipping ----
-  //
-  // Under the Socket transport every node process fills a copy-on-write
-  // copy of this store with ONLY its own deposits; the parent's copy
-  // stays empty. With the deposit log enabled, each put_* also records
-  // (kind, i, j), and serialize_deposits() re-reads the deposited slots
-  // into one little-endian blob the child ships home in its run
-  // epilogue; apply_deposits() replays a child's blob into the parent's
-  // store (re-asserting the exactly-once discipline across processes).
-
-  /// Start recording deposits. Call BEFORE the run (i.e. pre-fork).
-  void enable_deposit_log();
-  /// Little-endian blob of every logged deposit (shape + data).
-  prt::Packet serialize_deposits() const;
-  /// Replay one child's blob into this store.
-  void apply_deposits(const prt::Packet& blob);
-
   // ---- crash recovery: exactly-once deposits ----
   //
-  // Under crash recovery a deposit can in principle be replayed (a
-  // respawned node re-executes its VDPs from scratch, and the parent
-  // applies whatever epilogue blobs reach it). With dedup enabled a
-  // re-deposit of an already-written slot is verified to be bitwise
-  // identical to the first write and then skipped — it neither
-  // overwrites nor re-logs — so replay is idempotent end to end. A
-  // re-deposit with DIFFERENT content still asserts: that is not
-  // recovery, it is two VDPs claiming one slot.
+  // A slot moves empty -> writing -> written. A respawned node re-fires
+  // its VDPs from scratch, so with dedup enabled a slot can be deposited
+  // again: a written slot is verified to be bitwise identical to the
+  // first write and then skipped; a slot still in the writing state was
+  // torn by the killed incarnation (the parent respawns only after
+  // reaping it, so no writer is left) and is overwritten. A re-deposit
+  // with DIFFERENT content still asserts: that is not recovery, it is two
+  // VDPs claiming one slot. Without dedup any second deposit asserts.
 
-  /// Make re-deposits idempotent (verify + skip) instead of fatal.
-  /// Call BEFORE the run, alongside enable_deposit_log().
+  /// Make re-deposits idempotent (verify + skip, or overwrite a torn
+  /// slot) instead of fatal. Call BEFORE the run.
   void enable_dedup();
 
  private:
-  struct Deposit {
-    std::uint8_t kind;  ///< 0 = tile, 1 = tg, 2 = tt
-    int i;
-    int j;
-  };
-  void log_deposit(std::uint8_t kind, int i, int j);
+  MatrixView view(Slot s, int i, int j);
+  std::atomic<std::uint8_t>& state(Slot s, int i, int j) const;
 
   TileMatrix a_;
   ref::TStore tg_;
   ref::TStore tt_;
-  int ib_;
-  std::vector<std::atomic<bool>> tile_written_;
-  /// First-writer flags for the T stores, mirroring tile_written_: they
-  /// make put_tg/put_tt replays detectable (and loggable exactly once).
-  std::vector<std::atomic<bool>> tg_written_;
-  std::vector<std::atomic<bool>> tt_written_;
-  bool log_enabled_ = false;
+  /// One state byte per (slot kind, i, j), in a shared mapping.
+  Buffer states_;
   bool dedup_ = false;
-  mutable std::mutex log_mu_;
-  std::vector<Deposit> log_;  ///< guarded by log_mu_
 };
 
 }  // namespace pulsarqr::vsaqr

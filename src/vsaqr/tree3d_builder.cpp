@@ -47,6 +47,7 @@ namespace {
 using prt::Packet;
 using prt::Tuple;
 using prt::VdpContext;
+using Slot = ResultStore::Slot;
 
 Tuple f_tuple(int k, int d) { return Tuple{0, k, d}; }
 Tuple u_tuple(int k, int d, int l) { return Tuple{1, k, d, l}; }
@@ -119,7 +120,7 @@ void factor_fire(VdpContext& ctx, const FlatCfg& cfg) {
     st.t = Matrix(cfg.ib, cfg.pw);
     MatrixView v = tile_view(st.held);
     kernels::geqrt(v, cfg.ib, st.t.view(), ws);
-    store.put_tg(r, cfg.k, st.t.view());
+    store.put(Slot::Tg, r, cfg.k, st.t.view());
     if (cfg.vt_out >= 0) ctx.push(cfg.vt_out, encode_vt(v, st.t.view(), r));
   } else {
     MatrixView v2 = tile_view(tile);
@@ -127,15 +128,15 @@ void factor_fire(VdpContext& ctx, const FlatCfg& cfg) {
     PQR_ASSERT(held.rows >= cfg.pw, "tree-qr: short tile used as survivor");
     kernels::tsqrt(held.block(0, 0, cfg.pw, cfg.pw), v2, cfg.ib, st.t.view(),
                    ws);
-    store.put_tt(r, cfg.k, st.t.view());
-    store.put_tile(r, cfg.k, v2);  // eliminated: final for this column
+    store.put(Slot::Tt, r, cfg.k, st.t.view());
+    store.put(Slot::Tile, r, cfg.k, v2);  // eliminated: final for column k
     if (cfg.vt_out >= 0) ctx.push(cfg.vt_out, encode_vt(v2, st.t.view(), r));
   }
   if (idx == static_cast<int>(cfg.rows.size()) - 1) {
     if (cfg.top_out >= 0) {
       ctx.push(cfg.top_out, std::move(st.held));
     } else {
-      store.put_tile(cfg.rows[0], cfg.k, tile_view(st.held));
+      store.put(Slot::Tile, cfg.rows[0], cfg.k, tile_view(st.held));
     }
   }
 }
@@ -163,16 +164,16 @@ void update_fire(VdpContext& ctx, const FlatCfg& cfg) {
       ctx.push(cfg.solid_out, std::move(tile));
     } else {
       // Last panel: this row of Q^T [trailing columns] is final.
-      ctx.global<ResultStore>().put_tile(cfg.rows[idx], cfg.l,
-                                         tile_view(tile));
+      ctx.global<ResultStore>().put(Slot::Tile, cfg.rows[idx], cfg.l,
+                                    tile_view(tile));
     }
   }
   if (idx == static_cast<int>(cfg.rows.size()) - 1) {
     if (cfg.top_out >= 0) {
       ctx.push(cfg.top_out, std::move(st.held));
     } else {
-      ctx.global<ResultStore>().put_tile(cfg.rows[0], cfg.l,
-                                         tile_view(st.held));
+      ctx.global<ResultStore>().put(Slot::Tile, cfg.rows[0], cfg.l,
+                                    tile_view(st.held));
     }
   }
 }
@@ -187,19 +188,24 @@ void tt_factor_fire(VdpContext& ctx, const BinCfg& cfg) {
   MatrixView l = tile_view(rl);
   PQR_ASSERT(w.rows >= cfg.pw, "tree-qr: short tile used as tt survivor");
   // T is consumed by the store/codec copies below, so a frame-scoped
-  // workspace buffer replaces the old per-firing heap Matrix.
+  // workspace buffer replaces the old per-firing heap Matrix. ttqrt writes
+  // only T's triangular blocks; zeroing the rest first makes the deposit a
+  // function of the inputs alone, which a respawned node's bitwise replay
+  // check relies on (stale workspace bytes would differ between
+  // incarnations).
   kernels::Workspace& ws = kernels::tls_workspace();
   kernels::WsFrame frame(ws);
   MatrixView t = ws.matrix(cfg.ib, cfg.pw);
+  blas::laset_all(0.0, 0.0, t);
   kernels::ttqrt(w.block(0, 0, cfg.pw, cfg.pw), l, cfg.ib, t, ws);
   auto& store = ctx.global<ResultStore>();
-  store.put_tt(cfg.loser, cfg.k, t);
-  store.put_tile(cfg.loser, cfg.k, l);  // loser: final for this column
+  store.put(Slot::Tt, cfg.loser, cfg.k, t);
+  store.put(Slot::Tile, cfg.loser, cfg.k, l);  // loser: final for column k
   if (cfg.vt_out >= 0) ctx.push(cfg.vt_out, encode_vt(l, t, cfg.loser));
   if (cfg.win_out >= 0) {
     ctx.push(cfg.win_out, std::move(rw));
   } else {
-    store.put_tile(cfg.winner, cfg.k, w);  // overall survivor: R(k,k)
+    store.put(Slot::Tile, cfg.winner, cfg.k, w);  // overall survivor: R(k,k)
   }
 }
 
@@ -219,12 +225,14 @@ void tt_update_fire(VdpContext& ctx, const BinCfg& cfg) {
   if (cfg.win_out >= 0) {
     ctx.push(cfg.win_out, std::move(c1));
   } else {
-    ctx.global<ResultStore>().put_tile(cfg.winner, cfg.l, tile_view(c1));
+    ctx.global<ResultStore>().put(Slot::Tile, cfg.winner, cfg.l,
+                                  tile_view(c1));
   }
   if (cfg.c2_out >= 0) {
     ctx.push(cfg.c2_out, std::move(c2));
   } else {
-    ctx.global<ResultStore>().put_tile(cfg.loser, cfg.l, tile_view(c2));
+    ctx.global<ResultStore>().put(Slot::Tile, cfg.loser, cfg.l,
+                                  tile_view(c2));
   }
 }
 
@@ -289,17 +297,7 @@ class Builder {
                                              opt.ib)),
         total_threads_(opt.nodes * opt.workers_per_node) {
     vsa_.set_global(store_);
-    if (opt.transport == prt::Transport::Socket) {
-      // Each node process deposits into its own copy-on-write store; the
-      // deposit log ships every child's tiles back for the parent to
-      // merge before finish().
-      store_->enable_deposit_log();
-      if (opt.max_respawns > 0) store_->enable_dedup();
-      auto store = store_;
-      vsa_.set_process_hooks(
-          [store] { return store->serialize_deposits(); },
-          [store](int, const Packet& blob) { store->apply_deposits(blob); });
-    }
+    if (opt.max_respawns > 0) store_->enable_dedup();
     tile_bytes_ = tile_packet_bytes(a.nb(), a.nb());
     vt_bytes_ = vt_packet_bytes(a.nb(), a.nb(), opt.ib);
   }
@@ -575,14 +573,7 @@ class ApplyBuilder {
     require(b.cols() >= 1, "apply_qt: B must have at least one column");
     store_ = std::make_shared<ResultStore>(b.rows(), b.cols(), b.nb(), f.ib);
     vsa_.set_global(store_);
-    if (opt.transport == prt::Transport::Socket) {
-      store_->enable_deposit_log();
-      if (opt.max_respawns > 0) store_->enable_dedup();
-      auto store = store_;
-      vsa_.set_process_hooks(
-          [store] { return store->serialize_deposits(); },
-          [store](int, const Packet& blob) { store->apply_deposits(blob); });
-    }
+    if (opt.max_respawns > 0) store_->enable_dedup();
     tile_bytes_ = tile_packet_bytes(b.nb(), b.nb());
     vt_bytes_ = vt_packet_bytes(f.a.nb(), f.a.nb(), f.ib);
     total_threads_ = opt.nodes * opt.workers_per_node;

@@ -19,9 +19,9 @@
 namespace pulsarqr::vsaqr {
 
 /// Runtime fields (nodes, workers, transport, ...) come from
-/// prt::Vsa::Config; the QR array adds its own three. Under the Socket
-/// transport, result tiles reach the parent through the ResultStore
-/// deposit log (idempotent re-deposits when max_respawns > 0).
+/// prt::Vsa::Config; the QR array adds its own three. Under either
+/// transport, result tiles are written in place into the shared-memory
+/// ResultStore (idempotent re-deposits when max_respawns > 0).
 struct TreeQrOptions : prt::Vsa::Config {
   plan::PlanConfig tree;  ///< reduction tree (kind, h, boundary mode)
   int ib = 32;            ///< inner block size

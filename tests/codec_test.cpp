@@ -73,9 +73,9 @@ TEST(ResultStore, CollectsAndFinishes) {
     for (int i = 0; i < store.mt(); ++i) {
       const int tr = i == store.mt() - 1 ? m - i * nb : nb;
       const int tc = j == store.nt() - 1 ? n - j * nb : nb;
-      store.put_tile(i, j, tile.block(0, 0, tr, tc));
-      store.put_tg(i, j, t.block(0, 0, ib, tc));
-      store.put_tt(i, j, t.block(0, 0, ib, tc));
+      store.put(ResultStore::Slot::Tile, i, j, tile.block(0, 0, tr, tc));
+      store.put(ResultStore::Slot::Tg, i, j, t.block(0, 0, ib, tc));
+      store.put(ResultStore::Slot::Tt, i, j, t.block(0, 0, ib, tc));
     }
   }
   auto factors = store.finish(
@@ -90,7 +90,7 @@ TEST(ResultStore, CollectsAndFinishes) {
 TEST(ResultStore, FinishRejectsMissingTiles) {
   ResultStore store(6, 6, 3, 2);
   Matrix tile(3, 3);
-  store.put_tile(0, 0, tile.view());  // only one of four
+  store.put(ResultStore::Slot::Tile, 0, 0, tile.view());  // one of four
   EXPECT_THROW(store.finish(plan::ReductionPlan(
                                 2, 2, {plan::TreeKind::Flat, 1,
                                        plan::BoundaryMode::Shifted}),

@@ -10,11 +10,15 @@
 // invisible in the output. PQR_CHAOS_SCHEDULES shrinks the per-shape
 // schedule count for smoke runs.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
@@ -119,40 +123,99 @@ TEST(ReliableReplayTest, ResetRecvLinkAcceptsAFreshStreamFromSeqZero) {
 }
 
 // ---- ResultStore: exactly-once deposits under replay ------------------------
+//
+// The store lives in MAP_SHARED memory, so a forked child's deposits land
+// in the parent's store. These tests use plain fork() — no Vsa — to play
+// a node process (and a killed incarnation of one).
+
+using Slot = vsaqr::ResultStore::Slot;
+
+bool bitwise_same(ConstMatrixView a, ConstMatrixView b) {
+  if (a.rows != b.rows || a.cols != b.cols) return false;
+  for (int j = 0; j < a.cols; ++j) {
+    for (int i = 0; i < a.rows; ++i) {
+      if (std::memcmp(&a(i, j), &b(i, j), sizeof(double)) != 0) return false;
+    }
+  }
+  return true;
+}
+
+/// Run `body` in a forked child that then _exit(0)s; return its wait status.
+template <class Body>
+int in_child(Body&& body) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    body();
+    ::_exit(0);
+  }
+  int status = -1;
+  EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+  return status;
+}
+
+bool exited_cleanly(int status) {
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+}
+
+/// Leave slot (s, i, j) in the writing state the way a node killed
+/// mid-deposit would: a child claims the slot and faults on its first
+/// read of a source that sits on an inaccessible page.
+void tear_slot(vsaqr::ResultStore& store, Slot s, int i, int j, int rows,
+               int cols) {
+  const long page = ::sysconf(_SC_PAGESIZE);
+  void* p = ::mmap(nullptr, static_cast<std::size_t>(page), PROT_NONE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(p, MAP_FAILED);
+  const int status = in_child([&] {
+    store.put(s, i, j,
+              ConstMatrixView(static_cast<const double*>(p), rows, cols,
+                              rows));
+  });
+  ::munmap(p, static_cast<std::size_t>(page));
+  ASSERT_FALSE(exited_cleanly(status)) << "the torn deposit did not fault";
+}
 
 TEST(ResultStoreDedupTest, ReplayedDepositsAreVerifiedAndSkipped) {
-  // A respawned node re-executes from scratch, so the parent can receive
-  // the same deposit twice (once replayed to a survivor that shipped it,
-  // once from the replacement's own epilogue). With dedup on, identical
-  // re-deposits are no-ops; the deposit log must not grow either.
-  vsaqr::ResultStore src(10, 5, 5, 2);
-  src.enable_deposit_log();
-  src.enable_dedup();
+  // A respawned node re-executes from scratch, so it re-deposits what its
+  // killed incarnation already wrote. With dedup on, identical
+  // re-deposits are verified bitwise and skipped.
+  vsaqr::ResultStore store(10, 5, 5, 2);
+  store.enable_dedup();
   Matrix tile(5, 5), t(2, 5);
   fill_random(tile.view(), 31);
   fill_random(t.view(), 32);
-  src.put_tile(0, 0, tile.view());
-  src.put_tile(1, 0, tile.view());
-  src.put_tg(0, 0, t.view());
-  src.put_tt(1, 0, t.view());
-  const Packet blob = src.serialize_deposits();
-
-  vsaqr::ResultStore dst(10, 5, 5, 2);
-  dst.enable_deposit_log();
-  dst.enable_dedup();
-  dst.apply_deposits(blob);
-  dst.apply_deposits(blob);  // the replay: verified bitwise, then skipped
-  const Packet once = dst.serialize_deposits();
-  EXPECT_EQ(once.size(), blob.size())
-      << "replayed deposits leaked into the deposit log";
+  auto deposit_all = [&] {
+    store.put(Slot::Tile, 0, 0, tile.view());
+    store.put(Slot::Tile, 1, 0, tile.view());
+    store.put(Slot::Tg, 0, 0, t.view());
+    store.put(Slot::Tt, 1, 0, t.view());
+  };
+  ASSERT_TRUE(exited_cleanly(in_child(deposit_all)));  // first incarnation
+  ASSERT_TRUE(exited_cleanly(in_child(deposit_all)));  // its replacement
+  deposit_all();  // and once more in this process
+  const auto f = store.finish(
+      plan::ReductionPlan(2, 1, {plan::TreeKind::Flat, 1,
+                                 plan::BoundaryMode::Shifted}),
+      2);
+  EXPECT_TRUE(bitwise_same(f.a.tile(0, 0), tile.view()));
+  EXPECT_TRUE(bitwise_same(f.a.tile(1, 0), tile.view()));
+  EXPECT_TRUE(bitwise_same(f.tg.t(0, 0), t.view()));
+  EXPECT_TRUE(bitwise_same(f.tt.t(1, 0), t.view()));
 }
 
 TEST(ResultStoreDedupTest, WithoutDedupADoubleDepositStillAborts) {
+  // Tile and T slots follow one rule: without recovery, a second deposit
+  // of any slot is a bug, even with identical content.
   vsaqr::ResultStore store(10, 5, 5, 2);
-  Matrix tile(5, 5);
+  Matrix tile(5, 5), t(2, 5);
   fill_random(tile.view(), 33);
-  store.put_tile(0, 0, tile.view());
-  EXPECT_DEATH(store.put_tile(0, 0, tile.view()), "deposited twice");
+  fill_random(t.view(), 36);
+  store.put(Slot::Tile, 0, 0, tile.view());
+  store.put(Slot::Tg, 0, 0, t.view());
+  store.put(Slot::Tt, 1, 0, t.view());
+  EXPECT_DEATH(store.put(Slot::Tile, 0, 0, tile.view()), "deposited twice");
+  EXPECT_DEATH(store.put(Slot::Tg, 0, 0, t.view()), "deposited twice");
+  EXPECT_DEATH(store.put(Slot::Tt, 1, 0, t.view()), "deposited twice");
 }
 
 TEST(ResultStoreDedupTest, ConflictingReplayContentAbortsEvenWithDedup) {
@@ -162,8 +225,82 @@ TEST(ResultStoreDedupTest, ConflictingReplayContentAbortsEvenWithDedup) {
   Matrix tile(5, 5), other(5, 5);
   fill_random(tile.view(), 34);
   fill_random(other.view(), 35);
-  store.put_tile(0, 0, tile.view());
-  EXPECT_DEATH(store.put_tile(0, 0, other.view()), "conflicting re-deposit");
+  store.put(Slot::Tile, 0, 0, tile.view());
+  EXPECT_DEATH(store.put(Slot::Tile, 0, 0, other.view()),
+               "conflicting re-deposit");
+}
+
+TEST(ResultStoreDedupTest, TornSlotIsOverwrittenUnderRecoveryAndFatalWithout) {
+  Matrix tile(5, 5), t(2, 5);
+  fill_random(tile.view(), 37);
+  fill_random(t.view(), 38);
+  {
+    // Recovery on: the replacement's deposit replaces the torn copy.
+    vsaqr::ResultStore store(10, 5, 5, 2);
+    store.enable_dedup();
+    tear_slot(store, Slot::Tile, 1, 0, 5, 5);
+    tear_slot(store, Slot::Tt, 1, 0, 2, 5);
+    store.put(Slot::Tile, 0, 0, tile.view());
+    store.put(Slot::Tile, 1, 0, tile.view());
+    store.put(Slot::Tt, 1, 0, t.view());
+    // Once written, the slot is back under the bitwise replay check.
+    EXPECT_DEATH(store.put(Slot::Tt, 1, 0, tile.block(0, 0, 2, 5)),
+                 "conflicting re-deposit");
+    const auto f = store.finish(
+        plan::ReductionPlan(2, 1, {plan::TreeKind::Flat, 1,
+                                   plan::BoundaryMode::Shifted}),
+        2);
+    EXPECT_TRUE(bitwise_same(f.a.tile(1, 0), tile.view()));
+    EXPECT_TRUE(bitwise_same(f.tt.t(1, 0), t.view()));
+  }
+  {
+    // Recovery off: nobody may touch a claimed slot again.
+    vsaqr::ResultStore store(10, 5, 5, 2);
+    tear_slot(store, Slot::Tile, 1, 0, 5, 5);
+    EXPECT_DEATH(store.put(Slot::Tile, 1, 0, tile.view()), "deposited twice");
+    // A torn slot is not a deposit: finish() still reports it missing.
+    store.put(Slot::Tile, 0, 0, tile.view());
+    EXPECT_THROW(store.finish(plan::ReductionPlan(
+                                  2, 1, {plan::TreeKind::Flat, 1,
+                                         plan::BoundaryMode::Shifted}),
+                              2),
+                 Error);
+  }
+}
+
+TEST(ResultStoreSharedTest, ChildDepositsLandInTheParentsStore) {
+  // What a socket node process does: deposit from a forked child. With a
+  // private (copy-on-write) store the child's writes would vanish.
+  const int m = 12, n = 8, nb = 4, ib = 2;
+  vsaqr::ResultStore store(m, n, nb, ib);
+  store.enable_dedup();
+  Matrix tile(nb, nb), t(ib, nb), other(nb, nb);
+  fill_random(tile.view(), 61);
+  fill_random(t.view(), 62);
+  fill_random(other.view(), 63);
+  ASSERT_TRUE(exited_cleanly(in_child([&] {
+    store.put(Slot::Tile, 0, 0, tile.view());
+    store.put(Slot::Tile, 2, 1, tile.view());
+    store.put(Slot::Tg, 0, 0, t.view());
+    store.put(Slot::Tt, 2, 1, t.view());
+  })));
+  EXPECT_DEATH(store.put(Slot::Tile, 2, 1, other.view()),
+               "conflicting re-deposit");
+  for (int j = 0; j < store.nt(); ++j) {
+    for (int i = 0; i < store.mt(); ++i) {
+      if ((i == 0 && j == 0) || (i == 2 && j == 1)) continue;
+      store.put(Slot::Tile, i, j, other.view());
+    }
+  }
+  const auto f = store.finish(
+      plan::ReductionPlan(m / nb, n / nb, {plan::TreeKind::Flat, 1,
+                                           plan::BoundaryMode::Shifted}),
+      ib);
+  EXPECT_TRUE(bitwise_same(f.a.tile(0, 0), tile.view()));
+  EXPECT_TRUE(bitwise_same(f.a.tile(2, 1), tile.view()));
+  EXPECT_TRUE(bitwise_same(f.a.tile(1, 0), other.view()));
+  EXPECT_TRUE(bitwise_same(f.tg.t(0, 0), t.view()));
+  EXPECT_TRUE(bitwise_same(f.tt.t(2, 1), t.view()));
 }
 
 // ---- configuration guards ---------------------------------------------------
@@ -367,8 +504,9 @@ TEST(CrashRecoveryTest, LuOverSocketSurvivesAKill) {
 }
 
 TEST(CrashRecoveryTest, CholAndLuShipResultsOverTheSocketBackend) {
-  // No faults at all: the deposit-log shipping alone must reproduce the
-  // in-process factors bit-for-bit for both scenario stores.
+  // No faults at all: node processes writing into the shared result
+  // matrices must reproduce the in-process factors bit-for-bit for both
+  // scenario stores (a private store would come back empty).
   const int n = 120, nb = 20;
   Matrix spd = chol::random_spd(n, 53);
   chol::VsaCholOptions copt;

@@ -173,9 +173,9 @@ Args parse(int argc, char** argv, int first) {
     }
     const std::string key(arg + 2);
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      a.kv[key] = argv[++i];
+      a.kv.insert_or_assign(key, std::string(argv[++i]));
     } else {
-      a.kv[key] = "1";  // boolean flag
+      a.kv.insert_or_assign(key, std::string("1"));  // boolean flag
     }
   }
   return a;

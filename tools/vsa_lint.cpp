@@ -77,9 +77,9 @@ Args parse(int argc, char** argv) {
     }
     const std::string key(arg + 2);
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      a.kv[key] = argv[++i];
+      a.kv.insert_or_assign(key, std::string(argv[++i]));
     } else {
-      a.kv[key] = "1";
+      a.kv.insert_or_assign(key, std::string("1"));
     }
   }
   return a;
