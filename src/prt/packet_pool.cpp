@@ -13,7 +13,11 @@ namespace {
 
 constexpr std::size_t kMinClass = 64;  // one cache line
 constexpr int kClasses = 18;           // 64 B .. 8 MiB (64 << 17)
-constexpr int kMagazineCap = 16;       // buffers per thread per class
+// Buffers per thread per class. Small on purpose: a thread that frees
+// more of a class than it allocates (a worker dropping the clones a proxy
+// made) holds up to this many that no other thread can reach until the
+// magazine overflows or the thread exits.
+constexpr int kMagazineCap = 8;
 constexpr int kRefill = kMagazineCap / 2;
 
 std::size_t class_capacity(int idx) { return kMinClass << idx; }
@@ -59,6 +63,7 @@ Central& central() {
 struct Magazine {
   std::byte* bufs[kClasses][kMagazineCap];
   int count[kClasses] = {};
+  int trips[kClasses] = {};  ///< refills taken from the spill list so far
 };
 
 // The magazine is reached through a trivially-destructible thread_local
@@ -150,10 +155,12 @@ std::shared_ptr<std::byte[]> PacketPool::acquire(std::size_t bytes) {
     return wrap_pooled(out, idx);
   }
   // Magazine empty: refill a batch from the global spill list so the next
-  // few allocations of this class stay lock-free. Take at most half of
-  // what the list holds — a fixed batch would let the first thread after
-  // a quiet spell drain the class and strand buffers in its magazine
-  // while the other threads fall through to fresh allocations.
+  // few allocations of this class stay lock-free. The batch grows with
+  // the thread's trips to the list: none on the first, one more per trip
+  // up to kRefill, and never more than half of what the list holds. A
+  // fresh thread that needs one buffer of a class therefore takes one,
+  // instead of stranding a batch in its magazine while the next thread to
+  // ask (a proxy cloning a burst of tiles) finds the list empty.
   {
     auto& cls = c.spill[idx];
     std::lock_guard<std::mutex> lock(cls.mu);
@@ -162,7 +169,8 @@ std::shared_ptr<std::byte[]> PacketPool::acquire(std::size_t bytes) {
       cls.free.pop_back();
       if (mag != nullptr) {
         int take = static_cast<int>(cls.free.size() / 2);
-        if (take > kRefill) take = kRefill;
+        if (take > mag->trips[idx]) take = mag->trips[idx];
+        if (mag->trips[idx] < kRefill) ++mag->trips[idx];
         while (take-- > 0) {
           mag->bufs[idx][mag->count[idx]++] = cls.free.back();
           cls.free.pop_back();

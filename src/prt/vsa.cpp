@@ -645,13 +645,19 @@ void Vsa::proxy_loop(Node& n) {
     }
     // Batched outgoing drain: swap the node's whole queue out under one
     // lock instead of one lock round-trip per message, then send
-    // lock-free.
+    // lock-free. Each original is released right after it is sent, so an
+    // in-process send's clone and the original it replaces pair up in
+    // this thread's pool magazine instead of a burst of clones all
+    // drawing from the shared spill list.
     batch.clear();
     {
       std::lock_guard<std::mutex> lock(n.omu);
       batch.swap(n.outq);
     }
-    for (const OutMsg& m : batch) send_one(m);
+    for (OutMsg& m : batch) {
+      send_one(m);
+      m.p = Packet();
+    }
     any |= !batch.empty();
     // Drain all queued incoming messages in one mailbox swap.
     for (auto& m : comm_->drain(n.id)) {

@@ -16,10 +16,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <memory>
+#include <optional>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "blas/blas.hpp"
 #include "common/rng.hpp"
+#include "prt/socket_comm.hpp"
 #include "prt/transport.hpp"
 #include "prt/vsa.hpp"
 #include "ref/apply_q.hpp"
@@ -34,23 +39,113 @@ using Comm = prt::net::MailboxComm;
 using prt::net::FaultPlan;
 using prt::net::Message;
 using prt::net::Reliable;
+using prt::net::SocketComm;
 using Clock = std::chrono::steady_clock;
 using std::chrono::microseconds;
 
-// ---- FaultPlan determinism --------------------------------------------------
+// ---- the fault layer, on both backends -------------------------------------
+//
+// The fault plan, the limbo, the cancel latches and the accounting exist
+// once, in the Comm layer both backends share, so every case runs on a
+// MailboxComm(2) and on a SocketComm pair. Rank 0 sends and rank 1
+// receives. Over sockets the limbo sits on the sending side and only the
+// sender's own receive calls flush it, so the socket leg drains rank 0's
+// mailbox while it waits, as a node proxy does.
 
-TEST(FaultPlanTest, SameSeedReplaysTheSameSchedule) {
-  auto run = [](std::uint64_t seed) {
-    Comm comm(2);
+enum class Backend { Mailbox, Socket };
+
+const char* backend_name(Backend b) {
+  return b == Backend::Mailbox ? "Mailbox" : "Socket";
+}
+
+void PrintTo(Backend b, std::ostream* os) { *os << backend_name(b); }
+
+class FaultPlanTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  void SetUp() override { reset(); }
+
+  /// Fresh communicators, for cases that compare several runs.
+  void reset() {
+    mailbox_.reset();
+    a_.reset();
+    b_.reset();
+    taken_ = 0;
+    if (GetParam() == Backend::Mailbox) {
+      mailbox_ = std::make_unique<Comm>(2);
+    } else {
+      auto mesh = SocketComm::socketpair_mesh(2);
+      a_ = std::make_unique<SocketComm>(2, 0, mesh[0]);
+      b_ = std::make_unique<SocketComm>(2, 1, mesh[1]);
+    }
+  }
+
+  /// Rank 0's communicator: it sends, holds the plan, the counters and
+  /// the send-side limbo.
+  prt::net::Comm& tx() {
+    if (mailbox_) return *mailbox_;
+    return *a_;
+  }
+  /// Rank 1's communicator.
+  prt::net::Comm& rx() {
+    if (mailbox_) return *mailbox_;
+    return *b_;
+  }
+
+  /// recv_wait on rank 1; over sockets, rank 0's limbo is flushed while
+  /// it waits.
+  std::optional<Message> recv(int timeout_us) {
+    if (mailbox_) return mailbox_->recv_wait(1, timeout_us);
+    const auto deadline = Clock::now() + microseconds(timeout_us);
+    for (;;) {
+      (void)a_->drain(0);
+      const auto left = std::chrono::duration_cast<microseconds>(
+          deadline - Clock::now());
+      const long long slice = std::clamp<long long>(left.count(), 0, 500);
+      if (auto m = b_->recv_wait(1, static_cast<int>(slice))) return m;
+      if (Clock::now() >= deadline) return std::nullopt;
+    }
+  }
+
+  /// The metas of every message sent and not yet taken. Only for
+  /// schedules that leave nothing in the limbo.
+  std::vector<int> collect() {
+    std::vector<int> metas;
+    while (taken_ < tx().messages_sent()) {
+      auto m = recv(2'000'000);
+      if (!m) {
+        ADD_FAILURE() << "a scheduled message never arrived";
+        break;
+      }
+      metas.push_back(m->meta);
+      ++taken_;
+    }
+    EXPECT_FALSE(rx().try_recv(1).has_value()) << "more arrived than was sent";
+    return metas;
+  }
+
+ private:
+  std::unique_ptr<Comm> mailbox_;
+  std::unique_ptr<SocketComm> a_, b_;
+  long long taken_ = 0;
+};
+
+INSTANTIATE_TEST_SUITE_P(Backends, FaultPlanTest,
+                         ::testing::Values(Backend::Mailbox, Backend::Socket),
+                         [](const ::testing::TestParamInfo<Backend>& info) {
+                           return std::string(backend_name(info.param));
+                         });
+
+TEST_P(FaultPlanTest, SameSeedReplaysTheSameSchedule) {
+  auto run = [&](std::uint64_t seed) {
+    reset();
+    auto& comm = tx();
     FaultPlan plan;
     plan.seed = seed;
     plan.drop = 0.2;
     plan.dup = 0.2;
     comm.set_fault_plan(plan);
     for (int i = 0; i < 200; ++i) comm.isend(0, 1, 3, Packet::make(8), i);
-    std::vector<int> metas;
-    while (auto m = comm.try_recv(1)) metas.push_back(m->meta);
-    return std::make_pair(metas, comm.fault_counters());
+    return std::make_pair(collect(), comm.fault_counters());
   };
   const auto a = run(42);
   const auto b = run(42);
@@ -64,14 +159,14 @@ TEST(FaultPlanTest, SameSeedReplaysTheSameSchedule) {
   EXPECT_GT(a.second.duplicated, 0);
 }
 
-TEST(FaultPlanTest, DroppedMessagesVanishAndAreCounted) {
-  Comm comm(2);
+TEST_P(FaultPlanTest, DroppedMessagesVanishAndAreCounted) {
+  auto& comm = tx();
   FaultPlan plan;
   plan.seed = 7;
   plan.drop = 1.0;
   comm.set_fault_plan(plan);
   for (int i = 0; i < 10; ++i) comm.isend(0, 1, 0, Packet::make(8), i);
-  EXPECT_FALSE(comm.try_recv(1).has_value());
+  EXPECT_FALSE(recv(20'000).has_value());
   EXPECT_EQ(comm.fault_counters().dropped, 10);
   // Accounting contract: offered counts the caller's isends; sent counts
   // what actually reached a mailbox. A dropped message was offered but
@@ -81,8 +176,8 @@ TEST(FaultPlanTest, DroppedMessagesVanishAndAreCounted) {
   EXPECT_EQ(comm.bytes_sent(), 0);
 }
 
-TEST(FaultPlanTest, AccountingInvariantHoldsUnderMixedFaults) {
-  Comm comm(2);
+TEST_P(FaultPlanTest, AccountingInvariantHoldsUnderMixedFaults) {
+  auto& comm = tx();
   FaultPlan plan;
   plan.seed = 99;
   plan.drop = 0.2;
@@ -94,7 +189,7 @@ TEST(FaultPlanTest, AccountingInvariantHoldsUnderMixedFaults) {
   for (int i = 0; i < 300; ++i) comm.isend(0, 1, 4, Packet::make(8), i);
   // Drain everything (late limbo releases included).
   int received = 0;
-  while (comm.recv_wait(1, 50'000).has_value()) ++received;
+  while (recv(50'000).has_value()) ++received;
   const auto f = comm.fault_counters();
   EXPECT_EQ(comm.messages_offered(), 300);
   EXPECT_EQ(comm.messages_sent(), 300 - f.dropped + f.duplicated);
@@ -102,20 +197,18 @@ TEST(FaultPlanTest, AccountingInvariantHoldsUnderMixedFaults) {
   EXPECT_GT(comm.fault_streams(), 0u);  // one (src,dst,tag) stream used
 }
 
-TEST(FaultPlanTest, StreamIndexStateResetsOnPlanInstall) {
+TEST_P(FaultPlanTest, StreamIndexStateResetsOnPlanInstall) {
   // Installing a plan resets the per-stream fault indices, so the same
   // plan replays the same schedule on a reused communicator instead of
   // continuing (and growing) the previous run's stream counters.
-  Comm comm(2);
+  auto& comm = tx();
   FaultPlan plan;
   plan.seed = 5;
   plan.drop = 0.3;
   auto play = [&] {
     comm.set_fault_plan(plan);
-    std::vector<int> metas;
     for (int i = 0; i < 100; ++i) comm.isend(0, 1, 6, Packet::make(8), i);
-    while (auto m = comm.try_recv(1)) metas.push_back(m->meta);
-    return metas;
+    return collect();
   };
   const auto first = play();
   EXPECT_EQ(comm.fault_streams(), 1u);
@@ -124,12 +217,13 @@ TEST(FaultPlanTest, StreamIndexStateResetsOnPlanInstall) {
   EXPECT_EQ(comm.fault_streams(), 1u) << "stream state must not accumulate";
 }
 
-TEST(FaultPlanTest, CancelLatchesAgainstLimboReinsertion) {
+TEST_P(FaultPlanTest, CancelLatchesAgainstLimboReinsertion) {
   // Regression: cancel(rank) used to clear the mailbox and limbo once,
   // but a concurrent (or later) isend whose fault fate was delay/reorder
   // would re-insert into limbo and eventually re-fill the cancelled
-  // mailbox. The latch must make every later send to the rank a no-op.
-  Comm comm(2);
+  // mailbox. The latch must make every later send to the rank a no-op —
+  // over sockets too, where the sender cancels the destination.
+  auto& comm = tx();
   FaultPlan plan;
   plan.seed = 3;
   plan.delay = 1.0;  // every message goes through limbo
@@ -138,7 +232,7 @@ TEST(FaultPlanTest, CancelLatchesAgainstLimboReinsertion) {
   comm.isend(0, 1, 0, Packet::make(8), 0);
   comm.cancel(1);
   for (int i = 1; i < 20; ++i) comm.isend(0, 1, 0, Packet::make(8), i);
-  EXPECT_FALSE(comm.recv_wait(1, 20'000).has_value())
+  EXPECT_FALSE(recv(20'000).has_value())
       << "a cancelled rank received a message from limbo";
   // Only the pre-cancel send was counted (at fate time, before the cancel
   // discarded it from limbo — the documented cancel exception to the
@@ -147,8 +241,8 @@ TEST(FaultPlanTest, CancelLatchesAgainstLimboReinsertion) {
   EXPECT_EQ(comm.messages_sent(), 1);
 }
 
-TEST(FaultPlanTest, DelayedMessagesArriveWithinTheBound) {
-  Comm comm(2);
+TEST_P(FaultPlanTest, DelayedMessagesArriveWithinTheBound) {
+  auto& comm = tx();
   FaultPlan plan;
   plan.seed = 7;
   plan.delay = 1.0;
@@ -158,20 +252,21 @@ TEST(FaultPlanTest, DelayedMessagesArriveWithinTheBound) {
   // Every message is in limbo, but recv_wait caps its sleep at the next
   // pending release, so each arrives well before the 5 s timeout.
   for (int i = 0; i < 5; ++i) {
-    auto m = comm.recv_wait(1, 5'000'000);
+    auto m = recv(5'000'000);
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(m->meta, i);  // same-fate messages keep their order
   }
   EXPECT_EQ(comm.fault_counters().delayed, 5);
 }
 
-TEST(FaultPlanTest, ReorderDeliversALaterMessageFirst) {
+TEST_P(FaultPlanTest, ReorderDeliversALaterMessageFirst) {
   // A reorder-held message is released right after the NEXT message to
   // the rank lands — producing a genuine inversion. The hold time bound
   // is huge so only the after-next mechanism can release it here.
   bool saw_inversion = false;
   for (std::uint64_t seed = 0; seed < 64 && !saw_inversion; ++seed) {
-    Comm comm(2);
+    reset();
+    auto& comm = tx();
     FaultPlan plan;
     plan.seed = seed;
     plan.reorder = 0.5;
@@ -179,7 +274,7 @@ TEST(FaultPlanTest, ReorderDeliversALaterMessageFirst) {
     comm.set_fault_plan(plan);
     for (int i = 0; i < 20; ++i) comm.isend(0, 1, 0, Packet::make(8), i);
     std::vector<int> metas;
-    while (auto m = comm.try_recv(1)) metas.push_back(m->meta);
+    while (auto m = recv(20'000)) metas.push_back(m->meta);
     if (!std::is_sorted(metas.begin(), metas.end())) saw_inversion = true;
   }
   EXPECT_TRUE(saw_inversion);

@@ -2,10 +2,16 @@
 // loopback message-passing transport.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "prt/channel.hpp"
 #include "prt/packet.hpp"
+#include "prt/socket_comm.hpp"
 #include "prt/transport.hpp"
 #include "prt/tuple.hpp"
 
@@ -146,22 +152,80 @@ TEST(Channel, PushWakesOwner) {
   EXPECT_EQ(w.wakes.load(), 2);
 }
 
-TEST(Comm, DeliversWithDeepCopy) {
-  net::MailboxComm comm(2);
+// Both backends follow one copy rule (transport.hpp): a delivery inside
+// one address space hands the receiver its own clone unless `shared` is
+// set, and each duplicate is cloned separately. The socket leg is a
+// one-rank SocketComm sending to itself.
+struct CopyCase {
+  const char* name;
+  int dst;  ///< the receiving rank; the sender is rank 0
+  std::function<std::unique_ptr<net::Comm>()> make;
+};
+
+void PrintTo(const CopyCase& c, std::ostream* os) { *os << c.name; }
+
+class CommCopy : public ::testing::TestWithParam<CopyCase> {};
+
+TEST_P(CommCopy, DeliversWithDeepCopy) {
+  const int dst = GetParam().dst;
+  auto comm = GetParam().make();
   Packet p = Packet::make(2 * sizeof(double), 9);
   p.doubles()[0] = 3.25;
-  comm.isend(0, 1, 5, p, p.meta());
+  comm->isend(0, dst, 5, p, p.meta());
   p.doubles()[0] = -1.0;  // mutating after send must not affect the message
-  auto m = comm.try_recv(1);
+  auto m = comm->try_recv(dst);
   ASSERT_TRUE(m.has_value());
+  EXPECT_NE(m->payload.bytes(), p.bytes());
   EXPECT_EQ(m->source, 0);
   EXPECT_EQ(m->tag, 5);
   EXPECT_EQ(m->meta, 9);
   EXPECT_DOUBLE_EQ(m->payload.doubles()[0], 3.25);
   EXPECT_EQ(net::Comm::get_count(*m), 2 * sizeof(double));
-  EXPECT_FALSE(comm.try_recv(1).has_value());
-  EXPECT_FALSE(comm.try_recv(0).has_value());
+  EXPECT_FALSE(comm->try_recv(dst).has_value());
+  if (dst != 0) {
+    EXPECT_FALSE(comm->try_recv(0).has_value());
+  }
+
+  // `shared` hands the receiver the sender's own buffer.
+  comm->isend(0, dst, 5, p, p.meta(), -1, -1, false, /*shared=*/true);
+  auto s = comm->try_recv(dst);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->payload.bytes(), p.bytes());
+
+  // Under dup = 1.0 both copies arrive, distinct from each other and from
+  // the sender's buffer.
+  auto dup_comm = GetParam().make();
+  net::FaultPlan plan;
+  plan.seed = 1;
+  plan.dup = 1.0;
+  dup_comm->set_fault_plan(plan);
+  dup_comm->isend(0, dst, 5, p, p.meta());
+  auto d1 = dup_comm->try_recv(dst);
+  auto d2 = dup_comm->try_recv(dst);
+  ASSERT_TRUE(d1.has_value());
+  ASSERT_TRUE(d2.has_value());
+  EXPECT_NE(d1->payload.bytes(), d2->payload.bytes());
+  EXPECT_NE(d1->payload.bytes(), p.bytes());
+  EXPECT_NE(d2->payload.bytes(), p.bytes());
+  EXPECT_DOUBLE_EQ(d1->payload.doubles()[0], -1.0);
+  EXPECT_DOUBLE_EQ(d2->payload.doubles()[0], -1.0);
+  EXPECT_FALSE(dup_comm->try_recv(dst).has_value());
+  EXPECT_EQ(dup_comm->messages_sent(), 2);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, CommCopy,
+    ::testing::Values(
+        CopyCase{"Mailbox", 1,
+                 [] { return std::make_unique<net::MailboxComm>(2); }},
+        CopyCase{"SocketSelfSend", 0,
+                 []() -> std::unique_ptr<net::Comm> {
+                   return std::make_unique<net::SocketComm>(
+                       1, 0, std::vector<int>{-1});
+                 }}),
+    [](const ::testing::TestParamInfo<CopyCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Comm, FifoPerSenderAndCounts) {
   net::MailboxComm comm(2);
@@ -202,23 +266,6 @@ TEST(Comm, RecvWaitTimesOutAndWakes) {
   t.join();
 }
 
-TEST(Comm, BarrierSynchronizesRanks) {
-  net::MailboxComm comm(3);
-  std::atomic<int> before{0};
-  std::vector<std::thread> threads;
-  std::atomic<bool> ok{true};
-  for (int r = 0; r < 3; ++r) {
-    threads.emplace_back([&, r] {
-      (void)r;
-      ++before;
-      comm.barrier();
-      if (before.load() != 3) ok = false;
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(ok.load());
-}
-
 TEST(Comm, CancelDropsQueued) {
   net::MailboxComm comm(2);
   comm.isend(0, 1, 0, Packet::make(8), 0);
@@ -249,36 +296,6 @@ TEST(Comm, InterruptIsLatchedAndIdempotent) {
   auto m = comm.recv_wait(0, 1'000'000);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->meta, 7);
-}
-
-// Regression stress for barrier generation reuse: a rank re-entering the
-// barrier immediately must never release (or be counted into) the
-// previous generation. The two-barrier pattern makes the count exact: all
-// ranks contribute before barrier #1 releases, and none may contribute to
-// the next round until barrier #2 releases. Run under TSan in CI.
-TEST(Comm, BarrierImmediateReentryStress) {
-  const int ranks = 4;
-  const int iters = 2000;
-  net::MailboxComm comm(ranks);
-  std::atomic<long long> count{0};
-  std::atomic<bool> ok{true};
-  std::vector<std::thread> threads;
-  for (int r = 0; r < ranks; ++r) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < iters; ++i) {
-        count.fetch_add(1, std::memory_order_relaxed);
-        comm.barrier();
-        if (count.load(std::memory_order_relaxed) !=
-            static_cast<long long>(ranks) * (i + 1)) {
-          ok.store(false);
-        }
-        comm.barrier();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(ok.load());
-  EXPECT_EQ(count.load(), static_cast<long long>(ranks) * iters);
 }
 
 // The channels' lifetime counters feed the stuck-VDP diagnostics.
